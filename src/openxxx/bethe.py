@@ -1,11 +1,15 @@
 """Numerical solution of the Bethe equations and spectrum completeness checks.
 
-The Bethe system BE_k = 0 (k = 1..M) is solved by damped Newton iteration
-with central-difference Jacobians, run over a batch of random starting points
-drawn around the reflection-symmetric point -1/2.  Converged solutions are
-filtered against pole and degeneracy guards, canonicalized under the
-lambda -> -lambda - 1 reflection, and deduplicated by their eigenvalue
-signature.  Independently, the dense transfer-matrix spectrum is sampled on a
+Lambda and BE_k are evaluated in batch by the one kernel in ``scalars``.  One
+damped solver driver serves two systems: the square Bethe system BE_k = 0
+(k = 1..M), by Newton steps, and the overdetermined curve-targeted fit
+Lambda(u_i) = curve(u_i), by Levenberg-regularized Gauss-Newton steps.  Both
+use central-difference Jacobians over a batch of random starting points drawn
+around the reflection-symmetric point -1/2.  Both finish the same way: the BE
+residual is recomputed from scratch, and converged solutions are
+canonicalized under the lambda -> -lambda - 1 reflection, filtered against
+pole and degeneracy guards, and deduplicated by their eigenvalue signature.
+Independently, the dense transfer-matrix spectrum is sampled on a
 circle of spectral points, branch-tracked by continuity and fitted by
 polynomials; matching Bethe solutions against those curves certifies
 completeness a posteriori.
@@ -19,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg, model, scalars, vectors
-from .errors import PoleError, TrackingError
+from .errors import TrackingError
 from .model import ModelParams
 from .scalars import BetheRootSet
 
@@ -33,10 +37,14 @@ CURVE_CENTER = 0.11 + 0.23j
 MATCH_PROBES = (
     0.52 + 0.41j, -0.37 + 0.93j, 1.42 - 0.27j, -1.13 - 0.62j, 0.91 + 1.21j,
     2.02 + 0.33j, -2.21 + 0.48j, 0.18 - 1.33j, 1.7 + 0.9j, -0.66 - 1.71j,
-)
+) + scalars.FALLBACK_PROBES
 
 _BACKTRACK_LIMIT = 10
 _STALL_LIMIT = 3
+# Iteration cap and merit bound (worst scaled curve mismatch) of the
+# curve-targeted fit.
+_TARGET_MAX_ITER = 100
+_TARGET_FIT_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -51,10 +59,14 @@ class SolverConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < float("inf"):
+            raise ValueError("tol must be positive and finite")
         if self.n_starts is not None and self.n_starts < 1:
             raise ValueError("n_starts must be >= 1")
+        if self.max_iter < 0:
+            raise ValueError("max_iter must be >= 0")
+        if not 0 < self.jacobian_step < float("inf"):
+            raise ValueError("jacobian_step must be positive and finite")
         if not 0 < self.damping <= 1:
             raise ValueError("damping must lie in (0, 1]")
 
@@ -62,77 +74,45 @@ class SolverConfig:
         return self.n_starts if self.n_starts is not None else 64 * 2 ** n_sites
 
 
-# --- vectorized Bethe residuals ------------------------------------------------
-# Batch twins of the scalar formulas in ``scalars``; a test pins the two
-# implementations against each other.
-
-def _lambda1_arr(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    out = w + params.p
-    for t in params.theta:
-        out = out * ((w + 1) ** 2 - t ** 2)
-    return out
-
-
-def _lambda2_arr(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    out = (2 * w / (2 * w + 1)) * (params.p - w - 1)
-    for t in params.theta:
-        out = out * (w ** 2 - t ** 2)
-    return out
-
-
-def _alpha_arr(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    return (2 * (w + 1) / (2 * w + 1)) * ((1 - params.rho) * w + params.q)
-
-
-def _delta_arr(w: np.ndarray, params: ModelParams) -> np.ndarray:
-    return params.q - (w + 1) * (1 - params.rho)
-
+# --- batch evaluation -------------------------------------------------------------
+# Both formulas come from the kernel in ``scalars``; rows with a pole come out
+# non-finite, and callers treat those rows as failed.
 
 def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and their term scales for a (batch, M) array of root sets.
 
     Returns ``(be, scale)`` with ``be[s, k] = BE_k`` of row ``s`` and
     ``scale`` the largest addend magnitude (floored at 1), the natural
-    normalization for convergence tests.  Pole hits produce non-finite
-    entries; callers treat those rows as failed.
+    normalization for convergence tests.
     """
     lam = np.asarray(lam, dtype=complex)
     squeeze = lam.ndim == 1
     if squeeze:
         lam = lam[None, :]
     n = lam.shape[1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = lam[:, :, None]
-        b = lam[:, None, :]
-        diff = a - b
-        summ = a + b + 1
-        fm = (diff - 1) * (summ - 1) / (diff * summ)
-        hm = (diff + 1) * (summ + 1) / (diff * summ)
-        gm = 1.0 / (diff * summ)
-        eye = np.arange(n)
-        fm[:, eye, eye] = 1.0
-        hm[:, eye, eye] = 1.0
-        gm[:, eye, eye] = 1.0
-        t1 = -2 * lam * _alpha_arr(lam, params) * _lambda1_arr(lam, params) * fm.prod(axis=2)
-        t2 = 2 * (lam + 1) * _delta_arr(lam, params) * _lambda2_arr(lam, params) * hm.prod(axis=2)
-        t3 = (
-            params.rho
-            * (lam + 1) * (2 * lam + 1)
-            / ((lam + params.p) * (params.p - lam - 1))
-            * _lambda1_arr(lam, params) * _lambda2_arr(lam, params)
-            * gm.prod(axis=2)
+    # others[i, k] is the i-th root other than root k, laid out (M-1, M, batch)
+    # so each step of the kernel's product runs over contiguous memory
+    others = np.array([[j for j in range(n) if j != k] for k in range(n)], dtype=int)
+    lam_t = np.ascontiguousarray(lam.T)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        t1, t2, t3 = scalars.be_terms(
+            lam_t, lam_t[others.reshape(n, n - 1).T], params, params.rho
         )
-    be = t1 + t2 + t3
-    scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3), np.ones_like(np.abs(t1))])
+    be = (t1 + t2 + t3).T
+    scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3), np.ones(t1.shape)]).T
     if squeeze:
         return be[0], scale[0]
     return be, scale
 
 
-def _scaled_norm(lam: np.ndarray, params: ModelParams) -> np.ndarray:
+def _be_residual(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The Bethe system for the solver driver: BE_k rows and their scaled max norm."""
     be, scale = be_batch(lam, params)
-    res = (np.abs(be) / scale).max(axis=1)
-    return np.where(np.isfinite(res), res, np.inf)
+    return be, _finite_merit((np.abs(be) / scale).max(axis=1))
+
+
+def _finite_merit(merit: np.ndarray) -> np.ndarray:
+    return np.where(np.isfinite(merit), merit, np.inf)
 
 
 def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -140,59 +120,90 @@ def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.n
 
     Returns shape (batch, n_points).
     """
-    pts = np.asarray(points, dtype=complex).reshape(1, -1, 1)
-    lam = np.asarray(lam, dtype=complex)[:, None, :]
-    u = pts[0, :, 0]
-    l1 = _lambda1_arr(u, params)
-    l2 = _lambda2_arr(u, params)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = pts - lam
-        summ = pts + lam + 1
-        fprod = ((diff - 1) * (summ - 1) / (diff * summ)).prod(axis=2)
-        hprod = ((diff + 1) * (summ + 1) / (diff * summ)).prod(axis=2)
-        gprod = (1.0 / (diff * summ)).prod(axis=2)
-        t3_pref = (
-            params.rho * (u + 1) * (2 * u + 1) / ((u + params.p) * (params.p - u - 1)) * l1 * l2
-        )
-    return (
-        _alpha_arr(u, params) * l1 * fprod
-        + _delta_arr(u, params) * l2 * hprod
-        + t3_pref * gprod
-    )
+    u = np.asarray(points, dtype=complex)[None, :]
+    roots = np.asarray(lam, dtype=complex).T[:, :, None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return sum(scalars.lambda_terms(u, roots, params, params.rho))
 
 
-def eigenvalue_lambda_rows(u: complex, lam: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Eigenvalue formula evaluated at one point for a (batch, M) array of root sets."""
-    return eigenvalue_lambda_grid([complex(u)], lam, params)[:, 0]
+# --- the solver driver ------------------------------------------------------------
 
+def _newton_steps(lam: np.ndarray, r: np.ndarray, residual, step: float) -> np.ndarray:
+    """Corrections for every row from central-difference Jacobians of ``residual``.
 
-def _newton_steps(lam: np.ndarray, params: ModelParams, step: float) -> np.ndarray:
-    """Central-difference Newton corrections for every row; NaN rows on failure."""
+    A square system takes the Newton step solve(J, -r); an overdetermined one
+    the Levenberg-regularized Gauss-Newton step.  NaN rows on failure.
+    """
     s, n = lam.shape
-    be, _ = be_batch(lam, params)
-    jac = np.empty((s, n, n), dtype=complex)
+    jac = np.empty((s, r.shape[1], n), dtype=complex)
     for j in range(n):
         h = step * (1.0 + np.abs(lam[:, j]))
         up = lam.copy()
         up[:, j] += h
         dn = lam.copy()
         dn[:, j] -= h
-        bu, _ = be_batch(up, params)
-        bd, _ = be_batch(dn, params)
-        jac[:, :, j] = (bu - bd) / (2 * h[:, None])
+        jac[:, :, j] = (residual(up)[0] - residual(dn)[0]) / (2 * h[:, None])
+    with np.errstate(all="ignore"):
+        if r.shape[1] == n:
+            lhs, rhs = jac, -r
+        else:
+            jh = jac.conj().transpose(0, 2, 1)
+            lhs = jh @ jac + 1e-12 * np.eye(n)[None, :, :]
+            rhs = -(jh @ r[..., None])[..., 0]
     delta = np.full_like(lam, np.nan)
-    bad = ~(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(be).all(axis=1))
-    good = np.nonzero(~bad)[0]
+    good = np.nonzero(np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))[0]
     if good.size:
         try:
-            delta[good] = np.linalg.solve(jac[good], -be[good][..., None])[..., 0]
+            delta[good] = np.linalg.solve(lhs[good], rhs[good][..., None])[..., 0]
         except np.linalg.LinAlgError:
             for i in good:
                 try:
-                    delta[i] = np.linalg.solve(jac[i], -be[i])
+                    delta[i] = np.linalg.solve(lhs[i], rhs[i])
                 except np.linalg.LinAlgError:
                     pass
     return delta
+
+
+def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Drive every row of ``lam`` toward ``residual`` merit <= ``cfg.tol``.
+
+    ``residual(rows)`` returns ``(r, merit)``: the residual vectors and a
+    per-row merit that is inf when not finite.  Each iteration takes one
+    ``_newton_steps`` correction per active row and backtracks it from
+    ``cfg.damping`` by halving until the merit drops.  A row stops when it
+    converges, after ``_STALL_LIMIT`` iterations without an accepted step, or
+    at ``cfg.max_iter``.  The r of an accepted step feeds the next Jacobian
+    step.  Returns the final rows and their merits.
+    """
+    lam = lam.copy()
+    r, merit = residual(lam)
+    stalls = np.zeros(len(lam), dtype=int)
+    active = merit > cfg.tol
+    for _ in range(cfg.max_iter):
+        rows = np.nonzero(active)[0]
+        if rows.size == 0:
+            break
+        la = lam[rows]
+        delta = _newton_steps(la, r[rows], residual, cfg.jacobian_step)
+        base = merit[rows]
+        accepted = np.zeros(rows.size, dtype=bool)
+        usable = np.isfinite(delta).all(axis=1)
+        alpha = cfg.damping
+        for _ in range(_BACKTRACK_LIMIT):
+            pending = np.nonzero(usable & ~accepted)[0]
+            if pending.size == 0:
+                break
+            cand = la[pending] + alpha * delta[pending]
+            cand_r, cand_merit = residual(cand)
+            better = cand_merit < base[pending]
+            hit = rows[pending[better]]
+            lam[hit], r[hit], merit[hit] = cand[better], cand_r[better], cand_merit[better]
+            accepted[pending[better]] = True
+            alpha *= 0.5
+        stalls[rows[~accepted]] += 1
+        stalls[rows[accepted]] = 0
+        active &= (stalls < _STALL_LIMIT) & (merit > cfg.tol) & np.isfinite(lam).all(axis=1)
+    return lam, merit
 
 
 def _canonical_roots(row: np.ndarray) -> tuple:
@@ -254,75 +265,44 @@ def solve_bethe(
     n_starts = cfg.starts_for(params.n_sites)
     sigma = spread_scale * (1.0 + max((abs(t) for t in params.theta), default=0.0))
     lam = _draw_starts(rng, n_starts, m, sigma)
+    lam, merit = _damped_solve(lam, lambda rows: _be_residual(rows, params), cfg)
+    found = _certify(lam[merit <= cfg.tol], params, cfg.tol, stats)
+    stats["n_starts"] = n_starts
+    if not found:
+        log.info("no admissible Bethe solutions from %d starts", n_starts)
+    return found
 
-    active = np.ones(n_starts, dtype=bool)
-    stalls = np.zeros(n_starts, dtype=int)
-    residual = _scaled_norm(lam, params)
-    active &= residual > cfg.tol
-    for _ in range(cfg.max_iter):
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
-            break
-        la = lam[rows]
-        delta = _newton_steps(la, params, cfg.jacobian_step)
-        base = residual[rows]
-        accepted = np.zeros(rows.size, dtype=bool)
-        usable = np.isfinite(delta).all(axis=1)
-        trial = la.copy()
-        trial_res = base.copy()
-        alpha = cfg.damping
-        for _ in range(_BACKTRACK_LIMIT):
-            pending = usable & ~accepted
-            if not pending.any():
-                break
-            cand = la[pending] + alpha * delta[pending]
-            cand_res = _scaled_norm(cand, params)
-            better = cand_res < base[pending]
-            idx = np.nonzero(pending)[0][better]
-            trial[idx] = cand[better]
-            trial_res[idx] = cand_res[better]
-            accepted[idx] = True
-            alpha *= 0.5
-        lam[rows[accepted]] = trial[accepted]
-        residual[rows[accepted]] = trial_res[accepted]
-        stalls[rows[~accepted]] += 1
-        stalls[rows[accepted]] = 0
-        active &= stalls < _STALL_LIMIT
-        active &= residual > cfg.tol
-        active &= np.isfinite(lam).all(axis=1)
 
-    # Convergence is verified from scratch, never assumed from the iteration.
-    final_res = _scaled_norm(lam, params)
-    hits = np.nonzero(final_res <= cfg.tol)[0]
+def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | None = None):
+    """Turn the rows a solve converged on into deduplicated Bethe root sets.
+
+    The BE residual is recomputed from scratch, never assumed from the
+    iteration; rows within ``tol`` are canonicalized under the reflection,
+    filtered by the pole and degeneracy guards and deduplicated by eigenvalue
+    signature.  Returns the sets sorted by signature.
+    """
+    _, final_res = _be_residual(lam, params)
+    hits = np.nonzero(final_res <= tol)[0]
     candidates = []
-    n_guarded = 0
     for i in hits:
         roots = _canonical_roots(lam[i])
-        if not scalars.roots_admissible(roots, params):
-            n_guarded += 1
-            continue
-        candidates.append((roots, float(final_res[i])))
-    stats.update(n_starts=n_starts, converged=int(hits.size), discarded_guarded=n_guarded)
+        if scalars.roots_admissible(roots, params):
+            candidates.append((roots, float(final_res[i])))
+    n_guarded = hits.size - len(candidates)
     if n_guarded:
         log.debug("discarded %d converged runs at guarded/degenerate roots", n_guarded)
-    if not candidates:
-        log.info("no admissible Bethe solutions from %d starts", n_starts)
-        return []
-
-    probes = scalars.select_signature_probes([c[0] for c in candidates], params)
-    root_rows = np.array([c[0] for c in candidates], dtype=complex)
-    sig_cols = [eigenvalue_lambda_rows(pt, root_rows, params) for pt in probes]
-    tagged = [
-        (tuple(col[i] for col in sig_cols), roots, res)
-        for i, (roots, res) in enumerate(candidates)
-    ]
-    tagged.sort(key=lambda t: tuple((z.real, z.imag) for z in t[0]))
     unique: list[BetheRootSet] = []
-    for sig, roots, res in tagged:
-        if any(scalars.signatures_match(sig, u.signature) for u in unique):
-            continue
-        unique.append(BetheRootSet(roots, res, "newton", sig))
-    stats["unique"] = len(unique)
+    if candidates:
+        probes = scalars.select_signature_probes([c[0] for c in candidates], params)
+        sigs = eigenvalue_lambda_grid(probes, np.array([c[0] for c in candidates]), params)
+        tagged = sorted(
+            zip(map(tuple, sigs), candidates), key=lambda t: tuple((z.real, z.imag) for z in t[0])
+        )
+        for sig, (roots, res) in tagged:
+            if not any(scalars.signatures_match(sig, u.signature) for u in unique):
+                unique.append(BetheRootSet(roots, res, "newton", sig))
+    if stats is not None:
+        stats.update(converged=int(hits.size), discarded_guarded=n_guarded, unique=len(unique))
     return unique
 
 
@@ -468,27 +448,6 @@ class SpectrumMatch:
         return len(self.alternates) > 0
 
 
-def _match_points(root_sets, params: ModelParams, count: int = 6) -> tuple:
-    margin = 1e-4
-    chosen = []
-    for probe in MATCH_PROBES + scalars.FALLBACK_PROBES:
-        ok = abs(2 * probe + 1) > margin and abs(probe + params.p) > margin and abs(
-            params.p - probe - 1
-        ) > margin
-        for rs in root_sets:
-            if not ok:
-                break
-            for lam in rs.roots:
-                if abs(probe - lam) < margin or abs(probe + lam + 1) < margin:
-                    ok = False
-                    break
-        if ok:
-            chosen.append(probe)
-            if len(chosen) == count:
-                return tuple(chosen)
-    raise TrackingError("could not find pole-free matching probes")
-
-
 def match_spectrum(
     curves,
     root_sets,
@@ -501,31 +460,24 @@ def match_spectrum(
     reproduced by several inequivalent root sets carries them as alternates
     and is flagged degenerate.
     """
+    if not root_sets:
+        return [SpectrumMatch(cid, curve, None, np.inf) for cid, curve in enumerate(curves)]
+    points = scalars.select_signature_probes(root_sets, params, 6, MATCH_PROBES)
+    # Lambda once per (root set, point); every curve is compared against it
+    table = np.array([[scalars.eigenvalue_Lambda(pt, rs, params) for pt in points]
+                      for rs in root_sets])
     matches = []
-    points = _match_points(root_sets, params) if root_sets else ()
     for cid, curve in enumerate(curves):
-        best: BetheRootSet | None = None
-        best_err = np.inf
-        within: list[tuple[float, BetheRootSet]] = []
-        for rs in root_sets:
-            errs = []
-            for pt in points:
-                cv = curve(pt)
-                errs.append(abs(scalars.eigenvalue_Lambda(pt, rs, params) - cv) / max(1.0, abs(cv)))
-            err = max(errs) if errs else np.inf
-            if err < best_err:
-                best, best_err = rs, err
-            if err <= tol:
-                within.append((err, rs))
-        matched = best if best_err <= tol else None
-        alternates = tuple(rs for err, rs in sorted(within, key=lambda t: t[0])[1:]) if matched else ()
+        cv = curve(np.array(points))
+        errs = (np.abs(table - cv) / np.maximum(1.0, np.abs(cv))).max(axis=1)
+        within = [i for i in np.argsort(errs, kind="stable") if errs[i] <= tol]
         matches.append(
             SpectrumMatch(
                 curve_id=cid,
                 curve=curve,
-                matched_roots=matched,
-                match_error=float(best_err),
-                alternates=alternates,
+                matched_roots=root_sets[within[0]] if within else None,
+                match_error=float(errs.min()),
+                alternates=tuple(root_sets[i] for i in within[1:]),
             )
         )
     return matches
@@ -583,97 +535,24 @@ def _targeted_solve(
     """
     if n_roots == 0:
         return []
-    # Levenberg-damped Gauss-Newton on an overdetermined circle of targets
-    # (distinct from the points match_spectrum tests at).
+    # overdetermined circle of targets, distinct from the points match_spectrum tests at
     n_pts = 2 * n_roots + 3
     radius = 1.35
     pts = CURVE_CENTER + radius * np.exp(2j * np.pi * (np.arange(n_pts) + 0.37) / n_pts)
-    targets = np.array([curve(pt) for pt in pts])
+    targets = curve(pts)
     scale = np.maximum(1.0, np.abs(targets))
 
-    def mismatch(lam: np.ndarray) -> np.ndarray:
-        return (eigenvalue_lambda_grid(pts, lam, params) - targets[None, :]) / scale[None, :]
-
-    def worst(g: np.ndarray) -> np.ndarray:
-        w = np.abs(g).max(axis=1)
-        return np.where(np.isfinite(w), w, np.inf)
+    def mismatch(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        g = (eigenvalue_lambda_grid(pts, lam, params) - targets[None, :]) / scale[None, :]
+        return g, _finite_merit(np.abs(g).max(axis=1))
 
     rng = np.random.default_rng(seed)
     n_starts = n_starts or max(128, cfg.starts_for(params.n_sites) // 4)
     sigma = 1.0 + max((abs(t) for t in params.theta), default=0.0)
     lam = _draw_starts(rng, n_starts, n_roots, sigma)
-    fit_tol = 1e-11
-    stalls = np.zeros(n_starts, dtype=int)
-    for _ in range(100):
-        res = worst(mismatch(lam))
-        rows = np.nonzero(
-            (res > fit_tol)
-            & np.isfinite(lam).all(axis=1)
-            & (stalls < _STALL_LIMIT)
-        )[0]
-        if rows.size == 0:
-            break
-        la = lam[rows]
-        jac = np.empty((rows.size, n_pts, n_roots), dtype=complex)
-        for j in range(n_roots):
-            h = cfg.jacobian_step * (1.0 + np.abs(la[:, j]))
-            up = la.copy()
-            up[:, j] += h
-            dn = la.copy()
-            dn[:, j] -= h
-            jac[:, :, j] = (mismatch(up) - mismatch(dn)) / (2 * h[:, None])
-        jh = jac.conj().transpose(0, 2, 1)
-        with np.errstate(all="ignore"):
-            normal = jh @ jac + 1e-12 * np.eye(n_roots)[None, :, :]
-            rhs = -(jh @ mismatch(la)[..., None])[..., 0]
-            good = np.isfinite(normal).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-            delta = np.full_like(la, np.nan)
-            if good.any():
-                try:
-                    delta[good] = np.linalg.solve(normal[good], rhs[good][..., None])[..., 0]
-                except np.linalg.LinAlgError:
-                    for i in np.nonzero(good)[0]:
-                        try:
-                            delta[i] = np.linalg.solve(normal[i], rhs[i])
-                        except np.linalg.LinAlgError:
-                            pass
-        base = res[rows]
-        alpha = 1.0
-        accepted = np.zeros(rows.size, dtype=bool)
-        usable = np.isfinite(delta).all(axis=1)
-        for _ in range(_BACKTRACK_LIMIT):
-            pending = usable & ~accepted
-            if not pending.any():
-                break
-            cand = la[pending] + alpha * delta[pending]
-            better = worst(mismatch(cand)) < base[pending]
-            idx = np.nonzero(pending)[0][better]
-            lam[rows[idx]] = cand[better]
-            accepted[idx] = True
-            alpha *= 0.5
-        stalls[rows[~accepted]] += 1
-        stalls[rows[accepted]] = 0
-
-    final = worst(mismatch(lam))
-    found: list[BetheRootSet] = []
-    for i in np.nonzero(final <= fit_tol)[0]:
-        roots = _canonical_roots(lam[i])
-        if not scalars.roots_admissible(roots, params):
-            continue
-        try:
-            # admissible roots can still sit between the separation guard
-            # (1e-8) and the structure-function pole guard (1e-6)
-            be_res = scalars.normalized_be_residual(roots, params)
-        except PoleError:
-            continue
-        if be_res > cfg.tol:
-            continue
-        probes = scalars.select_signature_probes([roots], params)
-        sig = scalars.make_signature(roots, params, probes)
-        if any(scalars.signatures_match(sig, f.signature) for f in found):
-            continue
-        found.append(BetheRootSet(roots, float(be_res), "newton", sig))
-    return found
+    fit_cfg = replace(cfg, max_iter=_TARGET_MAX_ITER, tol=_TARGET_FIT_TOL, damping=1.0)
+    lam, merit = _damped_solve(lam, mismatch, fit_cfg)
+    return _certify(lam[merit <= _TARGET_FIT_TOL], params, cfg.tol)
 
 
 def _eigen_residual(rs: BetheRootSet, params: ModelParams, points) -> float:
@@ -759,7 +638,10 @@ def cover_spectrum(
         matches = match_spectrum(curves, root_sets, params, tol=match_tol)
         rounds += 1
 
-    points = _match_points(root_sets, params, count=residual_samples) if root_sets else ()
+    points = (
+        scalars.select_signature_probes(root_sets, params, residual_samples, MATCH_PROBES)
+        if root_sets else ()
+    )
     enriched = []
     for m in matches:
         if m.matched:

@@ -9,6 +9,7 @@ or ``%.17g`` (CSV), both round-trip exact in double precision.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,7 +62,7 @@ def _get_number(section, key, default, where, integer=False):
     v = section[key]
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError(f"{where}.{key}: expected a number, got {v!r}")
-    if integer and int(v) != v:
+    if integer and (not math.isfinite(v) or int(v) != v):
         raise ConfigError(f"{where}.{key}: expected an integer, got {v!r}")
     return int(v) if integer else float(v)
 
@@ -206,13 +207,16 @@ def parse_config_dict(doc: dict) -> RunConfig:
     output_path = doc.get("output_path")
     if output_path is not None and not isinstance(output_path, str):
         raise ConfigError("output_path: expected a string path")
+    n_samples = _get_number(doc, "n_samples", 10, "config", integer=True)
+    if n_samples < 1:
+        raise ConfigError(f"n_samples: expected a positive integer, got {n_samples}")
     sweep = doc.get("sweep")
     model = _parse_model(doc.get("model", {}))
     return RunConfig(
         model=model,
         solver=_parse_solver(doc.get("solver", {})),
         checks=checks if checks == "all" else list(checks),
-        n_samples=_get_number(doc, "n_samples", 10, "config", integer=True),
+        n_samples=n_samples,
         output_path=output_path,
         format=fmt,
         spectrum=_parse_spectrum(doc.get("spectrum", {})),

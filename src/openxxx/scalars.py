@@ -3,8 +3,10 @@
 Vacuum eigenvalues, the dressed alpha/delta coefficients, the transfer-matrix
 eigenvalue Lambda(u) parametrized by Bethe roots, the Bethe-equation residuals
 BE_k, the off-shell factor F, and the twelve exchange-relation structure
-functions.  All are rational; every evaluation is guarded against its poles
-with an absolute epsilon of ``model.POLE_EPS`` on the offending linear factor.
+functions.  All are rational; every public single-point evaluation is
+guarded against its poles with an absolute epsilon of ``model.POLE_EPS`` on
+the offending linear factor.  Lambda and BE_k share one unguarded kernel,
+``lambda_terms``, which also evaluates numpy batches for the solvers.
 """
 
 from __future__ import annotations
@@ -40,46 +42,63 @@ def _guard(factor: complex, description: str) -> complex:
     return factor
 
 
-def lambda1(u, params: ModelParams) -> complex:
-    """Vacuum eigenvalue of the A entry: (u+p) prod_j ((u+1)^2 - theta_j^2)."""
-    u = complex(u)
+# The vacuum eigenvalues and dressed coefficients below are unguarded and
+# accept complex numbers and numpy arrays alike; the public entry points
+# after them add the pole guards for single points.
+
+def _lambda1(u, params: ModelParams):
     out = u + params.p
     for t in params.theta:
-        out *= (u + 1) ** 2 - t ** 2
+        out = out * ((u + 1) ** 2 - t ** 2)
     return out
+
+
+def _lambda2(u, params: ModelParams):
+    out = (2 * u / (2 * u + 1)) * (params.p - u - 1)
+    for t in params.theta:
+        out = out * (u ** 2 - t ** 2)
+    return out
+
+
+def _alpha_bar(u, params: ModelParams, rho):
+    return (2 * (u + 1) / (2 * u + 1)) * ((1 - rho) * u + params.q)
+
+
+def _delta_bar(u, params: ModelParams, rho):
+    return params.q - (u + 1) * (1 - rho)
+
+
+def lambda1(u, params: ModelParams) -> complex:
+    """Vacuum eigenvalue of the A entry: (u+p) prod_j ((u+1)^2 - theta_j^2)."""
+    return _lambda1(complex(u), params)
 
 
 def lambda2(u, params: ModelParams) -> complex:
     """Vacuum eigenvalue of the D entry: (2u/(2u+1))(p-u-1) prod_j (u^2 - theta_j^2)."""
     u = complex(u)
     _guard(2 * u + 1, "2u+1")
-    out = (2 * u / (2 * u + 1)) * (params.p - u - 1)
-    for t in params.theta:
-        out *= u ** 2 - t ** 2
-    return out
+    return _lambda2(u, params)
 
 
 def alpha_bar(u, params: ModelParams) -> complex:
     u = complex(u)
     _guard(2 * u + 1, "2u+1")
-    return (2 * (u + 1) / (2 * u + 1)) * ((1 - params.rho) * u + params.q)
+    return _alpha_bar(u, params, params.rho)
 
 
 def delta_bar(u, params: ModelParams) -> complex:
-    u = complex(u)
-    return params.q - (u + 1) * (1 - params.rho)
+    return _delta_bar(complex(u), params, params.rho)
 
 
 def alpha_bar_diag(u, params: ModelParams) -> complex:
     """rho -> 0 limit of alpha_bar."""
     u = complex(u)
     _guard(2 * u + 1, "2u+1")
-    return 2 * (u + 1) * (u + params.q) / (2 * u + 1)
+    return _alpha_bar(u, params, 0.0)
 
 
 def delta_bar_diag(u, params: ModelParams) -> complex:
-    u = complex(u)
-    return params.q - u - 1
+    return _delta_bar(complex(u), params, 0.0)
 
 
 def F_factor(u, lam) -> complex:
@@ -204,118 +223,94 @@ def _guard_eigenvalue_point(u, lams, params) -> complex:
     return u
 
 
+def lambda_terms(u, roots, params: ModelParams, rho):
+    """The three addends of the eigenvalue Lambda(u) for Bethe roots ``roots``.
+
+    Returns ``(alpha_bar lambda1 prod_j f(u, l_j), delta_bar lambda2 prod_j
+    h(u, l_j), rho c(u) lambda1 lambda2 prod_j g(u, l_j))`` with
+    c(u) = (u+1)(2u+1)/((u+p)(p-u-1)) and g = 1/((u-l)(u+l+1)).  This is the
+    one implementation of both Lambda and BE_k.  It is unguarded and works on
+    complex numbers and on numpy arrays: ``u`` and every item of ``roots``
+    broadcast together (iterating an array runs along its first axis), and a
+    pole gives non-finite entries.  ``rho`` is an argument because Lambda and
+    BE_k are affine in it for fixed roots, which yields the rho-split parts.
+    """
+    l1 = _lambda1(u, params)
+    l2 = _lambda2(u, params)
+    t1 = _alpha_bar(u, params, rho) * l1
+    t2 = _delta_bar(u, params, rho) * l2
+    t3 = rho * (u + 1) * (2 * u + 1) / ((u + params.p) * (params.p - u - 1)) * l1 * l2
+    for lam in roots:
+        diff = u - lam
+        summ = u + lam + 1
+        t1 = t1 * ((diff - 1) * (summ - 1) / (diff * summ))
+        t2 = t2 * ((diff + 1) * (summ + 1) / (diff * summ))
+        t3 = t3 / (diff * summ)
+    return t1, t2, t3
+
+
+def be_terms(lam_k, others, params: ModelParams, rho):
+    """The three addends of BE_k, from the residue of Lambda at u = lambda_k.
+
+    BE_k = (2 lambda_k + 1) Res_{u=lambda_k} Lambda(u): only the k-th root's
+    f, h and g factors have a pole there, with residues -2 lambda_k,
+    2 (lambda_k + 1) and 1 over (2 lambda_k + 1).  So BE_k is the kernel at
+    u = lambda_k over the ``others`` times (-2 lambda_k, 2 (lambda_k + 1), 1).
+    Arrays are accepted as in ``lambda_terms``.
+    """
+    t1, t2, t3 = lambda_terms(lam_k, others, params, rho)
+    return -2 * lam_k * t1, 2 * (lam_k + 1) * t2, t3
+
+
+def _eigenvalue_at(u, roots, params: ModelParams, rho) -> complex:
+    lams = _root_values(roots)
+    u = _guard_eigenvalue_point(u, lams, params)
+    return sum(lambda_terms(u, lams, params, rho))
+
+
 def eigenvalue_Lambda(u, roots, params: ModelParams) -> complex:
     """Transfer-matrix eigenvalue at ``u`` for the given Bethe roots.
 
     Three-term form: dressed alpha/delta terms plus the rho-proportional
     inhomogeneous term.  Valid off shell (arbitrary roots).
     """
-    lams = _root_values(roots)
-    u = _guard_eigenvalue_point(u, lams, params)
-    t1 = alpha_bar(u, params) * lambda1(u, params)
-    t2 = delta_bar(u, params) * lambda2(u, params)
-    t3 = (
-        params.rho
-        * (u + 1) * (2 * u + 1) / ((u + params.p) * (params.p - u - 1))
-        * lambda1(u, params) * lambda2(u, params)
-    )
-    for lam in lams:
-        t1 *= _f(u, lam)
-        t2 *= _h(u, lam)
-        t3 /= (u - lam) * (u + lam + 1)
-    return t1 + t2 + t3
+    return _eigenvalue_at(u, roots, params, params.rho)
 
 
 def eigenvalue_Lambda_diag(u, roots, params: ModelParams) -> complex:
     """Diagonal-boundary part of the eigenvalue (rho set to 0, same roots)."""
-    lams = _root_values(roots)
-    u = _guard_eigenvalue_point(u, lams, params)
-    t1 = alpha_bar_diag(u, params) * lambda1(u, params)
-    t2 = delta_bar_diag(u, params) * lambda2(u, params)
-    for lam in lams:
-        t1 *= _f(u, lam)
-        t2 *= _h(u, lam)
-    return t1 + t2
+    return _eigenvalue_at(u, roots, params, 0.0)
 
 
 def eigenvalue_Lambda_gen(u, roots, params: ModelParams) -> complex:
     """Coefficient of rho in the eigenvalue split Lambda = Lambda_diag + rho * Lambda_gen."""
+    return _eigenvalue_at(u, roots, params, 1.0) - _eigenvalue_at(u, roots, params, 0.0)
+
+
+def _bethe_terms_at(k: int, roots, params: ModelParams, rho):
     lams = _root_values(roots)
-    u = _guard_eigenvalue_point(u, lams, params)
-    t1 = -(2 * u * (u + 1) / (2 * u + 1)) * lambda1(u, params)
-    t2 = (u + 1) * lambda2(u, params)
-    t3 = (
-        (u + 1) * (2 * u + 1) / ((u + params.p) * (params.p - u - 1))
-        * lambda1(u, params) * lambda2(u, params)
-    )
-    for lam in lams:
-        t1 *= _f(u, lam)
-        t2 *= _h(u, lam)
-        t3 /= (u - lam) * (u + lam + 1)
-    return t1 + t2 + t3
-
-
-def _be_terms(k: int, lams, params: ModelParams, diag_coeffs: bool):
-    lk = lams[k]
-    _guard(2 * lk + 1, "2lambda_k+1")
-    _guard(lk + params.p, "lambda_k+p")
-    _guard(params.p - lk - 1, "p-lambda_k-1")
-    others = [lam for j, lam in enumerate(lams) if j != k]
-    if diag_coeffs:
-        a, d = alpha_bar_diag(lk, params), delta_bar_diag(lk, params)
-    else:
-        a, d = alpha_bar(lk, params), delta_bar(lk, params)
-    t1 = -2 * lk * a * lambda1(lk, params)
-    t2 = 2 * (lk + 1) * d * lambda2(lk, params)
-    t3 = (
-        (lk + 1) * (2 * lk + 1) / ((lk + params.p) * (params.p - lk - 1))
-        * lambda1(lk, params) * lambda2(lk, params)
-    )
-    for lam in others:
-        t1 *= _f(lk, lam)
-        t2 *= _h(lk, lam)
-        t3 /= (lk - lam) * (lk + lam + 1)
-    return t1, t2, t3
+    others = lams[:k] + lams[k + 1:]
+    lam_k = _guard_eigenvalue_point(lams[k], others, params)
+    return be_terms(lam_k, others, params, rho)
 
 
 def bethe_terms(k: int, roots, params: ModelParams) -> tuple[complex, complex, complex]:
     """The three addends of BE_k; their magnitudes set the natural residual scale."""
-    lams = _root_values(roots)
-    t1, t2, t3 = _be_terms(k, lams, params, diag_coeffs=False)
-    return t1, t2, params.rho * t3
+    return _bethe_terms_at(k, roots, params, params.rho)
 
 
 def bethe_residual(k: int, roots, params: ModelParams) -> complex:
     """BE_k in the printed normalization; zero on shell."""
-    t1, t2, t3 = bethe_terms(k, roots, params)
-    return t1 + t2 + t3
+    return sum(bethe_terms(k, roots, params))
 
 
 def bethe_residual_diag(k: int, roots, params: ModelParams) -> complex:
-    lams = _root_values(roots)
-    t1, t2, _ = _be_terms(k, lams, params, diag_coeffs=True)
-    return t1 + t2
+    return sum(_bethe_terms_at(k, roots, params, 0.0))
 
 
 def bethe_residual_gen(k: int, roots, params: ModelParams) -> complex:
     """Coefficient of rho in BE_k = BE_k_diag + rho * BE_k_gen."""
-    lams = _root_values(roots)
-    lk = lams[k]
-    _guard(2 * lk + 1, "2lambda_k+1")
-    _guard(lk + params.p, "lambda_k+p")
-    _guard(params.p - lk - 1, "p-lambda_k-1")
-    others = [lam for j, lam in enumerate(lams) if j != k]
-    t1 = (4 * lk ** 2 * (lk + 1) / (2 * lk + 1)) * lambda1(lk, params)
-    t2 = 2 * (lk + 1) ** 2 * lambda2(lk, params)
-    t3 = (
-        (lk + 1) * (2 * lk + 1) / ((lk + params.p) * (params.p - lk - 1))
-        * lambda1(lk, params) * lambda2(lk, params)
-    )
-    for lam in others:
-        t1 *= _f(lk, lam)
-        t2 *= _h(lk, lam)
-        t3 /= (lk - lam) * (lk + lam + 1)
-    return t1 + t2 + t3
+    return sum(_bethe_terms_at(k, roots, params, 1.0)) - sum(_bethe_terms_at(k, roots, params, 0.0))
 
 
 def normalized_be_residual(roots, params: ModelParams) -> float:
@@ -359,27 +354,22 @@ def roots_admissible(roots, params: ModelParams) -> bool:
     return True
 
 
-def select_signature_probes(root_sets, params: ModelParams, count: int = 3) -> tuple:
-    """First ``count`` documented probes clear of every set's poles."""
-    pool = SIGNATURE_PROBES + FALLBACK_PROBES
+def select_signature_probes(
+    root_sets, params: ModelParams, count: int = 3, pool=SIGNATURE_PROBES + FALLBACK_PROBES
+) -> tuple:
+    """First ``count`` probes of ``pool`` clear of every set's eigenvalue poles."""
     margin = 1e-4  # wider than the pole guard so Lambda stays well conditioned
     chosen = []
     for probe in pool:
-        ok = abs(2 * probe + 1) > margin and abs(probe + params.p) > margin and abs(
-            params.p - probe - 1
-        ) > margin
+        factors = [2 * probe + 1, probe + params.p, params.p - probe - 1]
         for rs in root_sets:
-            if not ok:
-                break
             for lam in _root_values(rs):
-                if abs(probe - lam) < margin or abs(probe + lam + 1) < margin:
-                    ok = False
-                    break
-        if ok:
+                factors += (probe - lam, probe + lam + 1)
+        if min(abs(f) for f in factors) > margin:
             chosen.append(probe)
             if len(chosen) == count:
                 return tuple(chosen)
-    raise ParameterError("could not find pole-free signature probes")
+    raise ParameterError(f"could not find {count} pole-free probes")
 
 
 def make_signature(roots, params: ModelParams, probes=SIGNATURE_PROBES) -> tuple:

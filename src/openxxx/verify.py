@@ -721,7 +721,9 @@ def _onshell_eigen(ctx: CheckContext) -> float:
 def _onshell_poly(ctx: CheckContext) -> float:
     """On shell, Lambda(u) interpolates a polynomial of the transfer-matrix degree."""
     p = ctx.params
-    sets = bethe.solve_bethe(p, ctx.solver_cfg)
+    # the cover's root sets include every set a blind solve finds; the cache
+    # key uses the on-shell tolerance so the completeness check's cover is reused
+    sets = _cached_cover(p, ctx.solver_cfg, _ONSHELL_TOL[ctx.n_sites]).root_sets
     if not sets:
         raise SkipCheck("no converged Bethe solutions to test")
     degree = 2 * p.n_sites + 2
@@ -813,6 +815,8 @@ def run_suite(
     sliced or zero-padded per chain length.  ``max_sites`` truncates the
     lengths (the length-4 probes are the slowest entries).
     """
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
     solver_cfg = solver_cfg or SolverConfig(seed=seed)
     outcomes = []
     for idx, cdef in enumerate(select_checks(checks)):
@@ -823,34 +827,35 @@ def run_suite(
             ctx = CheckContext(
                 params.with_sites(n), n, rng, n_samples, cdef.tol_at(n), solver_cfg
             )
-            start = time.perf_counter()
-            residual: float | None
-            try:
-                residual = float(cdef.fn(ctx))
-                verdict = "pass" if residual <= ctx.tol else "fail"
-                reason = None
-            except SkipCheck as exc:
-                residual, verdict, reason = None, "skipped", str(exc)
-            elapsed = time.perf_counter() - start
-            if ctx.resamples:
-                log.info(
-                    "%s[N=%d]: resampled %d pole-adjacent draws", cdef.name, n, ctx.resamples
-                )
-            outcomes.append(
-                CheckOutcome(
-                    name=cdef.name,
-                    n_sites=n,
-                    n_samples=n_samples,
-                    residual=residual,
-                    tol=ctx.tol,
-                    verdict=verdict,
-                    gating=cdef.gating,
-                    wall_time=elapsed,
-                    reason=reason,
-                )
-            )
+            outcomes.append(_run_check(cdef.name, cdef.fn, ctx, cdef.gating))
     outcomes.sort(key=lambda c: (c.name, c.n_sites))
     return VerificationReport(tuple(outcomes), params, seed)
+
+
+def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
+    """Run one check on its context: time it, judge it against ``ctx.tol``."""
+    start = time.perf_counter()
+    residual: float | None
+    try:
+        residual = float(fn(ctx))
+        verdict = "pass" if residual <= ctx.tol else "fail"
+        reason = None
+    except SkipCheck as exc:
+        residual, verdict, reason = None, "skipped", str(exc)
+    elapsed = time.perf_counter() - start
+    if ctx.resamples:
+        log.info("%s[N=%d]: resampled %d pole-adjacent draws", name, ctx.n_sites, ctx.resamples)
+    return CheckOutcome(
+        name=name,
+        n_sites=ctx.n_sites,
+        n_samples=ctx.n_samples,
+        residual=residual,
+        tol=ctx.tol,
+        verdict=verdict,
+        gating=gating,
+        wall_time=elapsed,
+        reason=reason,
+    )
 
 
 # Convenience wrappers exposing the check families as single operations.
@@ -892,28 +897,22 @@ def check_offshell(params, roots=None, seed=0, n_samples=10, max_sites=None) -> 
     site_params = params.with_sites(len(lams))
     if not scalars.roots_admissible(lams, site_params):
         raise OpenXXXError("supplied off-shell roots violate the pole/separation guards")
+    cdef = _REGISTRY["offshell.general" if len(lams) <= 3 else "offshell.n4_probe"]
     ctx = CheckContext(
         site_params, len(lams), np.random.default_rng(np.random.SeedSequence([seed])),
-        n_samples, 1e-9, SolverConfig(seed=seed),
+        n_samples, cdef.tol_at(len(lams)), SolverConfig(seed=seed),
     )
     guards = tuple(g for lam in lams for g in (lam, -lam - 1)) + tuple(
         scalars.root_guard_centers(site_params)
     )
-    residual = max(
-        _offshell_residual(site_params, lams, ctx.draw_point(guards))
-        for _ in range(n_samples)
-    )
-    gate = len(lams) <= 3
-    outcome = CheckOutcome(
-        name="offshell.general" if gate else "offshell.n4_probe",
-        n_sites=len(lams),
-        n_samples=n_samples,
-        residual=residual,
-        tol=1e-9 if gate else 1e-6,
-        verdict="pass" if residual <= (1e-9 if gate else 1e-6) else "fail",
-        gating=gate,
-        wall_time=0.0,
-    )
+
+    def at_roots(ctx: CheckContext) -> float:
+        return max(
+            _offshell_residual(site_params, lams, ctx.draw_point(guards))
+            for _ in range(ctx.n_samples)
+        )
+
+    outcome = _run_check(cdef.name, at_roots, ctx, cdef.gating)
     return VerificationReport((outcome,), site_params, seed)
 
 

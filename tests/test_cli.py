@@ -125,6 +125,17 @@ def test_cmd_verify_unknown_check(tmp_path):
     assert cli.cmd_verify(write_config(tmp_path, doc)) == 2
 
 
+@pytest.mark.parametrize("patch", [
+    {"solver": {"jacobian_step": 0.0}},
+    {"solver": {"max_iter": -3}},
+    {"n_samples": 0},
+])
+def test_cmd_verify_rejects_invalid_solver_and_sample_settings(tmp_path, capsys, patch):
+    doc = {**BASE_DOC, "checks": FAST_CHECKS[:1], **patch}
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cmd_verify_csv(tmp_path):
     out = tmp_path / "report.csv"
     doc = {**BASE_DOC, "checks": FAST_CHECKS[:2], "format": "csv", "output_path": str(out)}

@@ -118,6 +118,19 @@ def test_bethe_residual_split_identity(params_n2):
         assert abs(full - (diag + params_n2.rho * gen)) < 1e-12 * max(1, abs(full))
 
 
+def test_bethe_residual_is_residue_of_eigenvalue(params_n3):
+    # BE_k = (2 lambda_k + 1) Res_{u=lambda_k} Lambda(u); the symmetric
+    # difference quotient of (u - lambda_k) Lambda(u) has an O(eps^2) error
+    lams = (0.43 + 0.77j, -0.21 - 0.53j, 1.13 + 0.29j)
+    eps = 1e-4 * (0.6 + 0.8j)
+    for k, lam in enumerate(lams):
+        res = 0.5 * sum(
+            e * scalars.eigenvalue_Lambda(lam + e, lams, params_n3) for e in (eps, -eps)
+        )
+        be = scalars.bethe_residual(k, lams, params_n3)
+        assert abs((2 * lam + 1) * res - be) < 1e-6 * max(1, abs(be))
+
+
 def test_bethe_residual_reflection_invariance(params_n2):
     # reflecting a non-k root leaves BE_k unchanged (f, h invariance)
     lams = [0.43 + 0.77j, -0.21 - 0.53j]

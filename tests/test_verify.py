@@ -137,3 +137,17 @@ def test_sampler_resamples_near_poles(params_n1):
     with pytest.raises(OpenXXXError):
         ctx2.draw_point(centers=(0.0,), margin=10.0)  # nothing admissible in the box
     assert ctx2.resamples == 1000
+
+
+def test_offshell_at_explicit_roots_runs_through_the_engine(params_n2):
+    report = verify.check_offshell(params_n2, roots=[0.43 + 0.77j, -0.21 - 0.53j], seed=3,
+                                   n_samples=3)
+    (outcome,) = report.checks
+    assert (outcome.name, outcome.n_sites, outcome.n_samples) == ("offshell.general", 2, 3)
+    assert outcome.verdict == "pass" and outcome.gating
+    assert outcome.wall_time > 0
+
+
+def test_run_suite_rejects_zero_samples(params_n2):
+    with pytest.raises(ValueError):
+        verify.run_suite(params_n2, checks=FAST_CHECKS[:1], n_samples=0)
