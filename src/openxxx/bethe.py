@@ -1,18 +1,18 @@
 """Numerical solution of the Bethe equations and spectrum completeness checks.
 
 Lambda and BE_k are evaluated in batch by the one kernel in ``scalars``.  One
-damped solver driver serves two systems: the square Bethe system BE_k = 0
-(k = 1..M), by Newton steps, and the overdetermined curve-targeted fit
-Lambda(u_i) = curve(u_i), by Levenberg-regularized Gauss-Newton steps.  Both
-use central-difference Jacobians over a batch of random starting points drawn
-around the reflection-symmetric point -1/2.  Both finish the same way: the BE
-residual is recomputed from scratch, and converged solutions are
-canonicalized under the lambda -> -lambda - 1 reflection, filtered against
-pole and degeneracy guards, and deduplicated by their eigenvalue signature.
-Independently, the dense transfer-matrix spectrum is sampled on a
-circle of spectral points, branch-tracked by continuity and fitted by
-polynomials; matching Bethe solutions against those curves certifies
-completeness a posteriori.
+damped Newton driver with central-difference Jacobians solves the square
+Bethe system BE_k = 0 (k = 1..M) for a batch of rows.  The blind multistart
+``solve_bethe`` feeds it random starts drawn around the reflection-symmetric
+point -1/2.  Every search finishes the same way: the BE residual is
+recomputed from scratch, and converged solutions are canonicalized under the
+lambda -> -lambda - 1 reflection, filtered against pole and degeneracy
+guards, and deduplicated by their eigenvalue signature.
+
+Completeness works curve first.  The eigenvalue curves of t(u) come from one
+eigenbasis of the commuting family sampled on a circle, the Bethe roots of
+each curve from the linear T-Q relation with one Newton polish, and matching
+the certified roots against the curves reports what is covered.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg, model, scalars, vectors
+from . import model, scalars, vectors
 from .errors import TrackingError
 from .model import ModelParams
 from .scalars import BetheRootSet
@@ -41,10 +41,13 @@ MATCH_PROBES = (
 
 _BACKTRACK_LIMIT = 10
 _STALL_LIMIT = 3
-# Iteration cap and merit bound (worst scaled curve mismatch) of the
-# curve-targeted fit.
-_TARGET_MAX_ITER = 100
-_TARGET_FIT_TOL = 1e-11
+
+# Seed of the fixed random weights that combine the t(u) samples into the one
+# matrix whose eigenvectors diagonalize the family, and the gates on that
+# eigenbasis: its condition number and the relative off-diagonal residual.
+_MIX_SEED = 2013
+_COND_LIMIT = 1e8
+_OFFDIAG_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,8 @@ class SolverConfig:
             raise ValueError("n_starts must be >= 1")
         if self.max_iter < 0:
             raise ValueError("max_iter must be >= 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0 < self.jacobian_step < float("inf"):
             raise ValueError("jacobian_step must be positive and finite")
         if not 0 < self.damping <= 1:
@@ -108,11 +113,8 @@ def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarr
 def _be_residual(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The Bethe system for the solver driver: BE_k rows and their scaled max norm."""
     be, scale = be_batch(lam, params)
-    return be, _finite_merit((np.abs(be) / scale).max(axis=1))
-
-
-def _finite_merit(merit: np.ndarray) -> np.ndarray:
-    return np.where(np.isfinite(merit), merit, np.inf)
+    merit = (np.abs(be) / scale).max(axis=1)
+    return be, np.where(np.isfinite(merit), merit, np.inf)
 
 
 def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -129,13 +131,12 @@ def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.n
 # --- the solver driver ------------------------------------------------------------
 
 def _newton_steps(lam: np.ndarray, r: np.ndarray, residual, step: float) -> np.ndarray:
-    """Corrections for every row from central-difference Jacobians of ``residual``.
+    """Newton corrections solve(J, -r) for every row of a square system.
 
-    A square system takes the Newton step solve(J, -r); an overdetermined one
-    the Levenberg-regularized Gauss-Newton step.  NaN rows on failure.
+    J is the central-difference Jacobian of ``residual``; NaN rows on failure.
     """
     s, n = lam.shape
-    jac = np.empty((s, r.shape[1], n), dtype=complex)
+    jac = np.empty((s, n, n), dtype=complex)
     for j in range(n):
         h = step * (1.0 + np.abs(lam[:, j]))
         up = lam.copy()
@@ -143,22 +144,15 @@ def _newton_steps(lam: np.ndarray, r: np.ndarray, residual, step: float) -> np.n
         dn = lam.copy()
         dn[:, j] -= h
         jac[:, :, j] = (residual(up)[0] - residual(dn)[0]) / (2 * h[:, None])
-    with np.errstate(all="ignore"):
-        if r.shape[1] == n:
-            lhs, rhs = jac, -r
-        else:
-            jh = jac.conj().transpose(0, 2, 1)
-            lhs = jh @ jac + 1e-12 * np.eye(n)[None, :, :]
-            rhs = -(jh @ r[..., None])[..., 0]
     delta = np.full_like(lam, np.nan)
-    good = np.nonzero(np.isfinite(lhs).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1))[0]
+    good = np.nonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r).all(axis=1))[0]
     if good.size:
         try:
-            delta[good] = np.linalg.solve(lhs[good], rhs[good][..., None])[..., 0]
+            delta[good] = np.linalg.solve(jac[good], -r[good][..., None])[..., 0]
         except np.linalg.LinAlgError:
             for i in good:
                 try:
-                    delta[i] = np.linalg.solve(lhs[i], rhs[i])
+                    delta[i] = np.linalg.solve(jac[i], -r[i])
                 except np.linalg.LinAlgError:
                     pass
     return delta
@@ -238,18 +232,15 @@ def solve_bethe(
     params: ModelParams,
     cfg: SolverConfig | None = None,
     n_roots: int | None = None,
-    spread_scale: float = 1.0,
     stats: dict | None = None,
 ) -> list[BetheRootSet]:
     """Find Bethe-root sets by multistart damped Newton.
 
     Returns deduplicated solutions sorted by signature; an empty list is a
     legal outcome.  ``n_roots`` defaults to the chain length (the general
-    ansatz); smaller values solve the diagonal-sector systems used at rho=0.
-    ``spread_scale`` widens the start distribution (escalation rounds).
+    ansatz); smaller values solve the diagonal-sector systems of rho = 0.
     A ``stats`` dict, if given, is filled with start/convergence/discard
-    counters.  Deterministic for a fixed (params, cfg, spread_scale)
-    including the seed.
+    counters.  Deterministic for fixed (params, cfg) including the seed.
     """
     cfg = cfg or SolverConfig()
     if stats is None:
@@ -257,13 +248,12 @@ def solve_bethe(
     stats.update(n_starts=0, converged=0, discarded_guarded=0, unique=0)
     m = params.n_sites if n_roots is None else n_roots
     if m == 0:
-        sig = scalars.make_signature((), params, scalars.select_signature_probes([()], params))
         stats.update(converged=1, unique=1)
-        return [BetheRootSet((), 0.0, "newton", sig)]
+        return [_vacuum_set(params)]
 
     rng = np.random.default_rng(cfg.seed)
     n_starts = cfg.starts_for(params.n_sites)
-    sigma = spread_scale * (1.0 + max((abs(t) for t in params.theta), default=0.0))
+    sigma = 1.0 + max((abs(t) for t in params.theta), default=0.0)
     lam = _draw_starts(rng, n_starts, m, sigma)
     lam, merit = _damped_solve(lam, lambda rows: _be_residual(rows, params), cfg)
     found = _certify(lam[merit <= cfg.tol], params, cfg.tol, stats)
@@ -271,6 +261,12 @@ def solve_bethe(
     if not found:
         log.info("no admissible Bethe solutions from %d starts", n_starts)
     return found
+
+
+def _vacuum_set(params: ModelParams) -> BetheRootSet:
+    """The root set with no roots (the M = 0 sector)."""
+    sig = scalars.make_signature((), params, scalars.select_signature_probes([()], params))
+    return BetheRootSet((), 0.0, "newton", sig)
 
 
 def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | None = None):
@@ -327,102 +323,86 @@ class Eigencurve:
         return len(self.coeffs) - 1
 
 
-def _greedy_assign(dist: np.ndarray) -> np.ndarray:
-    """Greedy nearest-match assignment of columns to rows."""
-    d = dist.copy()
-    n = d.shape[0]
-    sigma = np.full(n, -1, dtype=int)
-    for _ in range(n):
-        i, k = np.unravel_index(np.argmin(d), d.shape)
-        sigma[i] = k
-        d[i, :] = np.inf
-        d[:, k] = np.inf
-    return sigma
+def _curve_radius(params: ModelParams) -> float:
+    """Radius of the circle about CURVE_CENTER on which t(u) and the curves are sampled."""
+    return 1.9 + max((abs(t) for t in params.theta), default=0.0)
 
 
-def _order_against(prev: np.ndarray, new: np.ndarray) -> np.ndarray | None:
-    """Order ``new`` eigenvalues along the branches of ``prev``; None if ambiguous.
-
-    The assignment is safe when every chosen distance beats the next-best
-    candidate in both its row and its column by a clear margin, so the
-    nearest-match bijection is forced.  Coincident values (identical curves)
-    are exempt: any assignment among them yields the same branches.
-    """
-    n = len(new)
-    dist = np.abs(prev[:, None] - new[None, :])
-    sigma = _greedy_assign(dist)
-    ordered = new[sigma]
-    if n == 1:
-        return ordered
-    scale = max(1.0, float(np.abs(new).max()))
-    chosen = dist[np.arange(n), sigma]
-    masked = dist.copy()
-    masked[np.arange(n), sigma] = np.inf
-    runner_row = masked.min(axis=1)
-    runner_col = masked.min(axis=0)[sigma]
-    runner = np.minimum(runner_row, runner_col)
-    safe = (chosen <= 0.35 * runner) | (runner <= 1e-9 * scale) | (chosen <= 1e-12 * scale)
-    if safe.all():
-        return ordered
-    return None
-
-
-def dense_spectrum_curves(params: ModelParams, n_probe: int | None = None) -> list[Eigencurve]:
-    """Diagonalize t(u) on a spectral circle and fit each tracked branch.
-
-    Branches are followed by continuity (greedy nearest match); whenever the
-    assignment is ambiguous the step is bisected with extra diagonalizations.
-    Each branch must fit a polynomial of degree 2N+2 to 1e-9 relative, the
-    a-priori degree of the transfer matrix.
-    """
-    n = params.n_sites
-    degree = 2 * n + 2
-    if n_probe is None:
-        # dense sampling keeps continuity steps small, so bisection stays rare
-        n_probe = 48 * 2 ** max(n - 1, 0)
-    if n_probe < 2 * n + 5:
-        raise TrackingError(f"need at least {2 * n + 5} probe points, got {n_probe}")
-    radius = 1.9 + max((abs(t) for t in params.theta), default=0.0)
-    phases = np.exp(2j * np.pi * np.arange(n_probe) / n_probe)
-    points = CURVE_CENTER + radius * phases
-
-    def eigvals_at(u: complex) -> np.ndarray:
-        return np.linalg.eigvals(model.transfer_matrix(u, params))
-
-    def order_next(u_a: complex, vals_a: np.ndarray, u_b: complex, depth: int) -> np.ndarray:
-        ordered = _order_against(vals_a, eigvals_at(u_b))
-        if ordered is not None:
-            return ordered
-        if depth >= 14:
-            raise TrackingError(f"branch tracking ambiguous near u = {u_b}")
-        u_mid = 0.5 * (u_a + u_b)
-        vals_mid = order_next(u_a, vals_a, u_mid, depth + 1)
-        return order_next(u_mid, vals_mid, u_b, depth + 1)
-
-    tracks = np.empty((n_probe, params.dim), dtype=complex)
-    tracks[0] = linalg.sorted_eigenvalues(model.transfer_matrix(points[0], params))
-    for j in range(1, n_probe):
-        tracks[j] = order_next(points[j - 1], tracks[j - 1], points[j], 0)
-
-    # Fit in the unit-circle variable s = (u - center)/radius (well conditioned),
-    # then recompose to ascending coefficients in u.
-    vander = np.vander(phases, degree + 1, increasing=True)
+def _in_u(coeff_s: np.ndarray, radius: float) -> np.ndarray:
+    """Recompose ascending coefficients in s = (u - CURVE_CENTER)/radius into u."""
+    poly = np.polynomial.polynomial
     lin = np.array([-CURVE_CENTER / radius, 1.0 / radius], dtype=complex)
-    curves = []
-    for branch in range(params.dim):
-        values = tracks[:, branch]
-        coeff_s, *_ = np.linalg.lstsq(vander, values, rcond=None)
-        fit_err = np.abs(vander @ coeff_s - values).max() / max(1.0, np.abs(values).max())
-        if fit_err > 1e-9:
-            raise TrackingError(
-                f"branch {branch} is not a degree-{degree} polynomial (fit residual {fit_err:.2e})"
-            )
-        poly = np.polynomial.polynomial
-        coeffs_u = np.array([coeff_s[-1]], dtype=complex)
-        for c in coeff_s[-2::-1]:
-            coeffs_u = poly.polyadd(poly.polymul(coeffs_u, lin), [c])
-        curves.append(Eigencurve(coeffs_u))
-    return curves
+    coeffs_u = np.array([coeff_s[-1]], dtype=complex)
+    for c in coeff_s[-2::-1]:
+        coeffs_u = poly.polyadd(poly.polymul(coeffs_u, lin), [c])
+    return coeffs_u
+
+
+def dense_spectrum_curves(params: ModelParams) -> list[Eigencurve]:
+    """Eigenvalue curves of t(u) from one eigenbasis of the commuting family.
+
+    t(u) is a matrix polynomial of degree 2N+2, so its samples at the 2N+3
+    roots of unity on a circle give its exact coefficient matrices C_m by
+    FFT.  The family commutes, so the eigenvectors V of one generic
+    combination of the samples diagonalize every C_m, and the diagonals of
+    V^-1 C_m V are the curves' coefficients.  Raises ``TrackingError`` when
+    cond(V) or the relative off-diagonal residual shows V is no joint
+    eigenbasis.
+    """
+    k = 2 * params.n_sites + 3
+    radius = _curve_radius(params)
+    phases = np.exp(2j * np.pi * np.arange(k) / k)
+    samples = np.array([model.transfer_matrix(CURVE_CENTER + radius * s, params) for s in phases])
+    coeff_mats = np.fft.fft(samples, axis=0) / k
+    weights = np.array([1, 1j]) @ np.random.default_rng(_MIX_SEED).standard_normal((2, k))
+    _, vecs = np.linalg.eig(np.tensordot(weights, samples, axes=1))
+    cond = np.linalg.cond(vecs)
+    if not cond <= _COND_LIMIT:
+        raise TrackingError(f"joint eigenbasis of t(u) is ill-conditioned (cond {cond:.2e})")
+    rotated = np.linalg.solve(vecs, coeff_mats @ vecs)
+    diag = np.diagonal(rotated, axis1=1, axis2=2)
+    off = np.linalg.norm(rotated - diag[:, :, None] * np.eye(params.dim)) / np.linalg.norm(rotated)
+    if not off <= _OFFDIAG_TOL:
+        raise TrackingError(f"t(u) samples are not simultaneously diagonal (residual {off:.2e})")
+    return [Eigencurve(_in_u(diag[:, i], radius)) for i in range(params.dim)]
+
+
+def curve_roots(
+    curve: Eigencurve, params: ModelParams, m: int, cfg: SolverConfig
+) -> list[BetheRootSet]:
+    """Bethe roots of ``m`` excitations whose eigenvalue is ``curve``.
+
+    With Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1), the kernel's addends
+    at no roots, A, D and R, give the T-Q relation
+    Lambda(u) Q(u) = A(u) Q(u-1) + D(u) Q(u+1) + R(u).  It is linear in the
+    coefficients of Q, a monic polynomial of degree m in w = u(u+1), so they
+    follow by least squares at 4N+8 points (rows at a pole are dropped).  The
+    roots of Q in w give lambda = (-1 + sqrt(1 + 4w))/2, which one Newton
+    polish on BE_k and the usual certification turn into root sets; an
+    empty list means the curve has no such set.  ``m = 0`` gives the empty
+    set, as ``solve_bethe`` does.
+    """
+    if m == 0:
+        return [_vacuum_set(params)]
+    n_pts = 4 * params.n_sites + 8
+    phases = np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+    u = CURVE_CENTER + _curve_radius(params) * phases
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, d, r = scalars.lambda_terms(u, (), params, params.rho)
+    powers = np.arange(m + 1)
+    rows = (
+        (curve(u) * (u * (u + 1)) ** powers[:, None])
+        - a * ((u - 1) * u) ** powers[:, None]
+        - d * ((u + 1) * (u + 2)) ** powers[:, None]
+    ).T
+    lhs, rhs = rows[:, :m], r - rows[:, m]
+    keep = np.isfinite(lhs).all(axis=1) & np.isfinite(rhs)
+    scale = np.maximum(np.abs(lhs[keep]).max(axis=1), np.abs(rhs[keep]))[:, None]
+    q, *_ = np.linalg.lstsq(lhs[keep] / scale, rhs[keep] / scale[:, 0], rcond=None)
+    w = np.polynomial.polynomial.polyroots(np.append(q, 1.0))
+    lam = ((-1 + np.sqrt(1 + 4 * w.astype(complex))) / 2)[None, :]
+    lam, merit = _damped_solve(lam, lambda rows: _be_residual(rows, params), cfg)
+    return _certify(lam[merit <= cfg.tol], params, cfg.tol)
 
 
 # --- matching --------------------------------------------------------------------
@@ -492,7 +472,6 @@ class CoverageResult:
     matches: list
     root_sets: list
     mode: str
-    rounds_used: int
 
     @property
     def matched_count(self) -> int:
@@ -513,48 +492,6 @@ class CoverageResult:
         return max(vals) if vals else np.inf
 
 
-def _derived_seed(seed: int, *indices: int) -> int:
-    return int(np.random.SeedSequence([seed, *indices]).generate_state(1)[0])
-
-
-def _targeted_solve(
-    params: ModelParams,
-    curve: Eigencurve,
-    cfg: SolverConfig,
-    seed: int,
-    n_roots: int,
-    n_starts: int | None = None,
-) -> list[BetheRootSet]:
-    """Hunt roots whose eigenvalue interpolates a specific eigencurve.
-
-    The raw Bethe system has tiny Newton basins for some solutions; the
-    curve-interpolation system Lambda(u_i; lam) = curve(u_i), normalized by
-    the curve scale, is far better conditioned.  Candidates are certified as
-    genuine Bethe solutions by recomputing the normalized BE residual from
-    scratch, so the targeting never weakens the acceptance criterion.
-    """
-    if n_roots == 0:
-        return []
-    # overdetermined circle of targets, distinct from the points match_spectrum tests at
-    n_pts = 2 * n_roots + 3
-    radius = 1.35
-    pts = CURVE_CENTER + radius * np.exp(2j * np.pi * (np.arange(n_pts) + 0.37) / n_pts)
-    targets = curve(pts)
-    scale = np.maximum(1.0, np.abs(targets))
-
-    def mismatch(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        g = (eigenvalue_lambda_grid(pts, lam, params) - targets[None, :]) / scale[None, :]
-        return g, _finite_merit(np.abs(g).max(axis=1))
-
-    rng = np.random.default_rng(seed)
-    n_starts = n_starts or max(128, cfg.starts_for(params.n_sites) // 4)
-    sigma = 1.0 + max((abs(t) for t in params.theta), default=0.0)
-    lam = _draw_starts(rng, n_starts, n_roots, sigma)
-    fit_cfg = replace(cfg, max_iter=_TARGET_MAX_ITER, tol=_TARGET_FIT_TOL, damping=1.0)
-    lam, merit = _damped_solve(lam, mismatch, fit_cfg)
-    return _certify(lam[merit <= _TARGET_FIT_TOL], params, cfg.tol)
-
-
 def _eigen_residual(rs: BetheRootSet, params: ModelParams, points) -> float:
     phi = vectors.build_bethe_vector(rs, params)
     norm_phi = np.linalg.norm(phi)
@@ -570,73 +507,30 @@ def _eigen_residual(rs: BetheRootSet, params: ModelParams, points) -> float:
 def cover_spectrum(
     params: ModelParams,
     cfg: SolverConfig | None = None,
-    n_probe: int | None = None,
     match_tol: float = 1e-8,
-    max_rounds: int = 3,
     residual_samples: int = 4,
 ) -> CoverageResult:
-    """Solve, diagonalize, and match until every eigencurve is covered (or give up).
+    """Find the Bethe roots of every eigencurve and match them against the curves.
 
-    For a genuinely off-diagonal left boundary (rho != 0) the chain-length
-    root system is solved; when rho = 0 the low-excitation curves have no
-    finite representation in that system, so every diagonal sector M = 0..N
-    is solved instead.  Unmatched curves trigger deterministic escalation
-    rounds with 4x the starts and a derived seed; remaining gaps are
-    reported, not asserted away.
+    For a genuinely off-diagonal left boundary (rho != 0) every curve has N
+    roots; when rho = 0 the low-excitation curves have no finite
+    representation with N roots, so every diagonal sector M = 0..N is tried
+    for each curve instead.  Root sets are deduplicated by signature;
+    unmatched curves are reported, not asserted away.
     """
     cfg = cfg or SolverConfig()
-    curves = dense_spectrum_curves(params, n_probe)
+    curves = dense_spectrum_curves(params)
     sector_mode = abs(params.rho) <= 1e-12
     mode = "diagonal-sectors" if sector_mode else "general"
-
-    def solve_round(round_cfg: SolverConfig, spread_scale: float = 1.0) -> list[BetheRootSet]:
-        if sector_mode:
-            sets: list[BetheRootSet] = []
-            for m in range(params.n_sites + 1):
-                sets.extend(solve_bethe(params, round_cfg, n_roots=m, spread_scale=spread_scale))
-            return sets
-        return solve_bethe(params, round_cfg, spread_scale=spread_scale)
-
-    def merge(base: list[BetheRootSet], extra) -> list[BetheRootSet]:
-        known = list(base)
-        for rs in extra:
-            if not any(scalars.signatures_match(rs.signature, k.signature) for k in known):
-                known.append(rs)
-        return sorted(known, key=lambda rs: rs.sort_key())
-
-    def targeted_pass(matches, root_sets, round_index: int):
-        extra: list[BetheRootSet] = []
-        orders = range(1, params.n_sites + 1) if sector_mode else (params.n_sites,)
-        for m in matches:
-            if m.matched:
-                continue
-            for order in orders:
-                extra.extend(
-                    _targeted_solve(
-                        params, m.curve, cfg,
-                        _derived_seed(cfg.seed, round_index, m.curve_id, order), order,
-                    )
-                )
-        return merge(root_sets, extra)
-
-    root_sets = solve_round(cfg)
+    orders = range(params.n_sites + 1) if sector_mode else (params.n_sites,)
+    root_sets: list[BetheRootSet] = []
+    for curve in curves:
+        for m in orders:
+            for rs in curve_roots(curve, params, m, cfg):
+                if not any(scalars.signatures_match(rs.signature, k.signature) for k in root_sets):
+                    root_sets.append(rs)
+    root_sets.sort(key=lambda rs: rs.sort_key())
     matches = match_spectrum(curves, root_sets, params, tol=match_tol)
-    rounds = 1
-    while any(not m.matched for m in matches) and rounds <= max_rounds:
-        # stage 1: curve-guided hunt for exactly the unmatched curves
-        root_sets = targeted_pass(matches, root_sets, rounds)
-        matches = match_spectrum(curves, root_sets, params, tol=match_tol)
-        if not any(not m.matched for m in matches) or rounds == max_rounds:
-            break
-        # stage 2: blind escalation with more starts and a wider spread
-        boosted = replace(
-            cfg,
-            n_starts=cfg.starts_for(params.n_sites) * 4 ** rounds,
-            seed=_derived_seed(cfg.seed, rounds),
-        )
-        root_sets = merge(root_sets, solve_round(boosted, spread_scale=float(2 ** rounds)))
-        matches = match_spectrum(curves, root_sets, params, tol=match_tol)
-        rounds += 1
 
     points = (
         scalars.select_signature_probes(root_sets, params, residual_samples, MATCH_PROBES)
@@ -650,7 +544,6 @@ def cover_spectrum(
         enriched.append(m)
     if any(not m.matched for m in enriched):
         log.info(
-            "%d of %d eigencurves unmatched after %d rounds",
-            sum(not m.matched for m in enriched), len(curves), rounds,
+            "%d of %d eigencurves unmatched", sum(not m.matched for m in enriched), len(curves)
         )
-    return CoverageResult(enriched, list(root_sets), mode, rounds)
+    return CoverageResult(enriched, root_sets, mode)

@@ -63,7 +63,10 @@ def _write_csv(header, rows, out_path: str | None) -> None:
 def _load(config_path: str | None, seed: int | None, fmt: str | None, out: str | None) -> RunConfig:
     cfg = parse_config(config_path) if config_path else config_mod.default_config()
     if seed is not None:
-        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=seed))
+        try:
+            cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=seed))
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if fmt is not None:
         cfg = dataclasses.replace(cfg, format=fmt)
     if out is not None:
@@ -222,7 +225,6 @@ def _coverage_payload(cover, cfg: RunConfig) -> dict:
         "seed": cfg.solver.seed,
         "params": model_to_dict(cfg.model),
         "mode": cover.mode,
-        "rounds_used": cover.rounds_used,
         "matched_count": cover.matched_count,
         "unmatched_count": cover.unmatched_count,
         "curves": curves,
@@ -233,9 +235,7 @@ def _run_coverage(cfg: RunConfig):
     return bethe.cover_spectrum(
         cfg.model,
         cfg.solver,
-        n_probe=cfg.spectrum.n_probe,
         match_tol=cfg.spectrum.match_tol,
-        max_rounds=cfg.spectrum.rounds,
         residual_samples=cfg.spectrum.residual_samples,
     )
 
@@ -269,7 +269,7 @@ def cmd_spectrum(config_path: str | None, out: str | None = None, fmt: str | Non
         _write_json(payload, cfg.output_path)
     print(
         f"spectrum: {cover.matched_count}/{len(cover.matches)} curves matched "
-        f"({cover.mode} mode, {cover.rounds_used} solver rounds)"
+        f"({cover.mode} mode)"
     )
     return 0
 
@@ -296,7 +296,6 @@ def _sweep_point(doc: dict, param: str, value_pair: list) -> dict:
         "unmatched_count": cover.unmatched_count,
         "max_match_error": _finite_or_none(cover.max_match_error),
         "max_eigen_residual": _finite_or_none(cover.max_eigen_residual),
-        "rounds_used": cover.rounds_used,
     }
 
 
@@ -344,13 +343,12 @@ def cmd_sweep(config_path: str | None, out: str | None = None, fmt: str | None =
     if cfg.format == "csv":
         csv_rows = [
             (r["param"], r["value"][0], r["value"][1], r["matched_count"],
-             r["unmatched_count"], r["max_match_error"], r["max_eigen_residual"],
-             r["rounds_used"])
+             r["unmatched_count"], r["max_match_error"], r["max_eigen_residual"])
             for r in rows
         ]
         _write_csv(
             ("param", "value_re", "value_im", "matched", "unmatched",
-             "max_match_error", "max_eigen_residual", "rounds"),
+             "max_match_error", "max_eigen_residual"),
             csv_rows,
             cfg.output_path,
         )

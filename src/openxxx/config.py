@@ -69,10 +69,14 @@ def _get_number(section, key, default, where, integer=False):
 
 @dataclass(frozen=True)
 class SpectrumConfig:
-    n_probe: int | None = None
     match_tol: float = 1e-8
-    rounds: int = 3
     residual_samples: int = 4
+
+    def __post_init__(self):
+        if not 0 < self.match_tol < math.inf:
+            raise ValueError("match_tol must be positive and finite")
+        if self.residual_samples < 1:
+            raise ValueError("residual_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -149,17 +153,14 @@ def _parse_solver(section: dict) -> SolverConfig:
 
 
 def _parse_spectrum(section: dict) -> SpectrumConfig:
-    allowed = ("n_probe", "match_tol", "rounds", "residual_samples")
-    _require_keys(section, allowed, "spectrum")
-    n_probe = section.get("n_probe")
-    if n_probe is not None:
-        n_probe = _get_number(section, "n_probe", None, "spectrum", integer=True)
-    return SpectrumConfig(
-        n_probe=n_probe,
-        match_tol=_get_number(section, "match_tol", 1e-8, "spectrum"),
-        rounds=_get_number(section, "rounds", 3, "spectrum", integer=True),
-        residual_samples=_get_number(section, "residual_samples", 4, "spectrum", integer=True),
-    )
+    _require_keys(section, ("match_tol", "residual_samples"), "spectrum")
+    try:
+        return SpectrumConfig(
+            match_tol=_get_number(section, "match_tol", 1e-8, "spectrum"),
+            residual_samples=_get_number(section, "residual_samples", 4, "spectrum", integer=True),
+        )
+    except ValueError as exc:
+        raise ConfigError(f"spectrum: {exc}") from exc
 
 
 def sweep_theta_index(param: str) -> int | None:
@@ -266,9 +267,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "output_path": cfg.output_path,
         "format": cfg.format,
         "spectrum": {
-            "n_probe": cfg.spectrum.n_probe,
             "match_tol": cfg.spectrum.match_tol,
-            "rounds": cfg.spectrum.rounds,
             "residual_samples": cfg.spectrum.residual_samples,
         },
     }

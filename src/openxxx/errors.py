@@ -30,7 +30,7 @@ class ContractionError(OpenXXXError):
 
 
 class TrackingError(OpenXXXError):
-    """Eigenvalue branch tracking could not be disambiguated."""
+    """The sampled transfer matrices have no well-conditioned joint eigenbasis."""
 
 
 class ConfigError(OpenXXXError):

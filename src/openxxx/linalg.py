@@ -107,12 +107,6 @@ def eig(m):
     return np.linalg.eig(as_matrix(m))
 
 
-def sorted_eigenvalues(m) -> np.ndarray:
-    """Eigenvalues ordered by (real, imag); a deterministic starting order."""
-    w = np.linalg.eigvals(as_matrix(m))
-    return w[np.lexsort((w.imag, w.real))]
-
-
 def rel_residual(diff, *scales) -> float:
     """Norm of ``diff`` relative to the product of the given scales (floored at 1)."""
     denom = 1.0

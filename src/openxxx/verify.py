@@ -721,7 +721,7 @@ def _onshell_eigen(ctx: CheckContext) -> float:
 def _onshell_poly(ctx: CheckContext) -> float:
     """On shell, Lambda(u) interpolates a polynomial of the transfer-matrix degree."""
     p = ctx.params
-    # the cover's root sets include every set a blind solve finds; the cache
+    # the cover holds the certified root sets of every eigencurve; the cache
     # key uses the on-shell tolerance so the completeness check's cover is reused
     sets = _cached_cover(p, ctx.solver_cfg, _ONSHELL_TOL[ctx.n_sites]).root_sets
     if not sets:

@@ -101,11 +101,6 @@ def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
         assert all(c.degree <= 2 * params.n_sites + 2 for c in curves)
 
 
-def test_dense_spectrum_probe_floor(params_n2):
-    with pytest.raises(bethe.TrackingError):
-        bethe.dense_spectrum_curves(params_n2, n_probe=3)
-
-
 def test_match_spectrum_flags_unmatched(params_n2):
     curves = bethe.dense_spectrum_curves(params_n2)
     matches = bethe.match_spectrum(curves, [], params_n2)

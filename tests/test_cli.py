@@ -169,6 +169,16 @@ def test_cmd_solve_empty_is_exit_zero(tmp_path, capsys):
     assert "no admissible Bethe solutions" in err
 
 
+@pytest.mark.parametrize("extra, patch", [
+    ([], {"solver": {"seed": -1}}),
+    (["--seed", "-1"], {}),
+])
+def test_cmd_solve_rejects_negative_seed(tmp_path, capsys, extra, patch):
+    doc = {**BASE_DOC, **patch}
+    assert cli.main(["solve", "--config", write_config(tmp_path, doc), *extra]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_cmd_solve_csv(tmp_path):
     out = tmp_path / "roots.csv"
     doc = {**BASE_DOC, "format": "csv", "output_path": str(out)}
@@ -194,14 +204,26 @@ def test_cmd_spectrum_full_match(tmp_path):
 
 def test_cmd_spectrum_unmatched_reported_exit_zero(tmp_path, capsys):
     doc = dict(BASE_DOC)
-    doc["solver"] = {"seed": 1, "n_starts": 1, "max_iter": 1}
-    doc["spectrum"] = {"rounds": 0}
+    doc["solver"] = {"tol": 1e-30}
     out = tmp_path / "spec.json"
     doc["output_path"] = str(out)
     code = cli.main(["spectrum", "--config", write_config(tmp_path, doc)])
     assert code == 0
     report = json.loads(out.read_text())
     assert report["unmatched_count"] > 0
+
+
+@pytest.mark.parametrize("spectrum", [
+    {"match_tol": 0},
+    {"match_tol": -1},
+    {"residual_samples": 0},
+    {"rounds": 3},
+    {"n_probe": 96},
+])
+def test_cmd_spectrum_rejects_invalid_settings(tmp_path, capsys, spectrum):
+    doc = {**BASE_DOC, "spectrum": spectrum}
+    assert cli.main(["spectrum", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 def test_cmd_spectrum_seed_override_changes_nothing_deterministic(tmp_path):

@@ -1,22 +1,23 @@
 """Pinned solver and cover outcomes on the default configuration's model.
 
 The values were recorded from the implementation with separate Newton and
-Gauss-Newton loops and separate batch formulas; the single kernel and solver
-driver must reproduce them: the same counts and rounds, and every eigenvalue
-signature to 1e-8 relative.
+Gauss-Newton loops, separate batch formulas and a cover built from blind and
+curve-targeted solves; every later implementation must reproduce them: the
+same counts, and every eigenvalue signature to 1e-8 relative.
 """
 
+import numpy as np
 import pytest
 
-from openxxx import bethe, config, scalars
+from openxxx import bethe, config, scalars, verify
 
-COVER_N2 = (4, 1, [
+COVER_N2 = (4, [
     ((1.6751567096460436-0.5637779443710669j), (-44.90142499720444+21.796994827976977j), (77.98120595404201-5.603799252290188j)),
     ((3.3999788834143043-1.2124311101108622j), (-4.980836311269158-24.899366597892044j), (15.151629475946589-24.00159588687899j)),
     ((6.68626351487866-0.525711560477127j), (-21.009186044882238+45.67884568465379j), (114.58640411365953-4.092012378886506j)),
     ((11.28563717780388-0.49106071908757626j), (-47.21502497884475+190.6626491543962j), (319.87375278354693+6.322529768382753j)),
 ])
-COVER_N3 = (8, 1, [
+COVER_N3 = (8, [
     ((1.0540108399666201-0.3917371179155578j), (-41.207489726641946-39.60291738122306j), (140.0456594458846-28.571791411147263j)),
     ((2.151076663418493-0.5201972397725363j), (-250.1516182399681-49.15515992259253j), (427.2312915553733-4.940539615648674j)),
     ((4.6947868682037-1.6319532663268315j), (12.512298349546416-104.08878558119414j), (83.63385462229144-77.71659109245847j)),
@@ -51,9 +52,8 @@ def _assert_signatures(got, pinned):
 def test_cover_spectrum_default_model_is_pinned(n, pinned):
     cfg = config.default_config()
     cover = bethe.cover_spectrum(cfg.model.with_sites(n), cfg.solver)
-    matched, rounds, sigs = pinned
+    matched, sigs = pinned
     assert cover.matched_count == matched
-    assert cover.rounds_used == rounds
     got = sorted((m.matched_roots.signature for m in cover.matches if m.matched), key=_sig_key)
     _assert_signatures(got, sigs)
 
@@ -62,3 +62,13 @@ def test_solve_bethe_default_model_n3_is_pinned():
     cfg = config.default_config()
     sets = bethe.solve_bethe(cfg.model.with_sites(3), cfg.solver)
     _assert_signatures([rs.signature for rs in sets], SOLVE_N3)
+
+
+def test_cover_spectrum_n4_draw_that_broke_branch_tracking():
+    # the 4th draw of default_rng(7) for n = 1..4 raised TrackingError when
+    # curves were followed by continuity on the sampling circle
+    rng = np.random.default_rng(7)
+    params = [verify.random_params(rng, n) for n in (1, 2, 3, 4)][3]
+    cover = bethe.cover_spectrum(params, bethe.SolverConfig(seed=7))
+    assert cover.matched_count == 16
+    assert cover.max_eigen_residual <= 1e-7
