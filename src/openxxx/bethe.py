@@ -484,24 +484,24 @@ class CoverageResult:
     @property
     def max_match_error(self) -> float:
         matched = [m.match_error for m in self.matches if m.matched]
-        return max(matched) if matched else np.inf
+        return float(np.max(matched)) if matched else np.inf
 
     @property
     def max_eigen_residual(self) -> float:
         vals = [m.eigen_residual for m in self.matches if m.eigen_residual is not None]
-        return max(vals) if vals else np.inf
+        return float(np.max(vals)) if vals else np.inf
 
 
 def _eigen_residual(rs: BetheRootSet, params: ModelParams, points) -> float:
     phi = vectors.build_bethe_vector(rs, params)
     norm_phi = np.linalg.norm(phi)
-    worst = 0.0
+    scaled = []
     for u in points:
         t = model.transfer_matrix(u, params)
         lam = scalars.eigenvalue_Lambda(u, rs, params)
         resid = np.linalg.norm(t @ phi - lam * phi)
-        worst = max(worst, resid / max(np.linalg.norm(t) * norm_phi, 1e-300))
-    return float(worst)
+        scaled.append(resid / max(np.linalg.norm(t) * norm_phi, 1e-300))
+    return float(np.max(scaled))
 
 
 def cover_spectrum(

@@ -300,21 +300,10 @@ def _sweep_point(doc: dict, param: str, value_pair: list) -> dict:
 
 
 def cmd_sweep(config_path: str | None, out: str | None = None, fmt: str | None = None,
-              seed: int | None = None, jobs: int = 1, param_name: str | None = None,
-              grid=None) -> int:
-    """Run the spectrum match over a parameter grid.
-
-    ``param_name`` and ``grid`` override the config's sweep section when
-    given (the CLI passes them from the config).
-    """
+              seed: int | None = None, jobs: int = 1) -> int:
+    """Run the spectrum match over the config's sweep grid."""
     try:
         cfg = _load(config_path, seed, fmt, out)
-        if param_name is not None and grid is not None:
-            sweep = config_mod._parse_sweep(
-                {"param": param_name, "grid": [config_mod.from_complex(complex(v)) for v in grid]},
-                cfg.model.n_sites,
-            )
-            cfg = dataclasses.replace(cfg, sweep=sweep)
         if cfg.sweep is None:
             raise ConfigError("sweep command requires a sweep section in the config")
     except ConfigError as exc:

@@ -102,11 +102,6 @@ def commutator_norm(a, b) -> float:
     return frobenius(a @ b - b @ a) / max(frobenius(a) * frobenius(b), 1.0)
 
 
-def eig(m):
-    """Eigen-decomposition of a general (non-Hermitian) complex matrix."""
-    return np.linalg.eig(as_matrix(m))
-
-
 def rel_residual(diff, *scales) -> float:
     """Norm of ``diff`` relative to the product of the given scales (floored at 1)."""
     denom = 1.0

@@ -191,13 +191,6 @@ def pseudo_vacuum(n_sites: int) -> np.ndarray:
     return v
 
 
-def lowest_vector(n_sites: int) -> np.ndarray:
-    """All spins down."""
-    v = np.zeros(2 ** n_sites, dtype=complex)
-    v[-1] = 1.0
-    return v
-
-
 def r_matrix(u) -> np.ndarray:
     return complex(u) * np.eye(4, dtype=complex) + PERMUTATION
 

@@ -314,14 +314,19 @@ def bethe_residual_gen(k: int, roots, params: ModelParams) -> complex:
 
 
 def normalized_be_residual(roots, params: ModelParams) -> float:
-    """max_k |BE_k| scaled by the largest of its three addends (floored at 1)."""
+    """max_k |BE_k| scaled by the largest of its three addends (floored at 1).
+
+    A non-finite BE_k gives inf, as in the solvers' merit; the empty set gives 0.
+    """
     lams = _root_values(roots)
-    worst = 0.0
+    scaled = []
     for k in range(len(lams)):
         t1, t2, t3 = bethe_terms(k, lams, params)
         scale = max(abs(t1), abs(t2), abs(t3), 1.0)
-        worst = max(worst, abs(t1 + t2 + t3) / scale)
-    return worst
+        scaled.append(abs(t1 + t2 + t3) / scale)
+    if not all(math.isfinite(x) for x in scaled):
+        return math.inf
+    return max(scaled, default=0.0)
 
 
 # --- root sets ----------------------------------------------------------------

@@ -54,19 +54,16 @@ class RotatedFrame:
     q_matrix: np.ndarray | None
     q_inverse: np.ndarray | None
     scale: complex
-    inverse_scale: complex  # stored alongside to keep the xi- -> 0 bookkeeping explicit
     available: bool
     reason: str | None
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "RotatedFrame":
         if params.xi_minus == 0:
-            return cls(None, None, 0.0, 0.0, False, "xi_minus = 0: rotation matrix is singular")
+            return cls(None, None, 0.0, False, "xi_minus = 0: rotation matrix is singular")
         det = params.xi_plus * params.xi_minus + params.rho ** 2
         if abs(det) < 1e-12 * max(1.0, abs(params.xi_plus * params.xi_minus)):
-            return cls(
-                None, None, 0.0, 0.0, False, "xi+ xi- + rho^2 = 0: rotation matrix is singular"
-            )
+            return cls(None, None, 0.0, False, "xi+ xi- + rho^2 = 0: rotation matrix is singular")
         q = np.array(
             [[params.xi_plus, params.rho], [-params.rho, params.xi_minus]], dtype=complex
         )
@@ -74,7 +71,7 @@ class RotatedFrame:
             [[params.xi_minus, -params.rho], [params.rho, params.xi_plus]], dtype=complex
         ) / det
         scale = det / params.xi_minus ** 2
-        frame = cls(q, q_inv, complex(scale), complex(1 / scale), True, None)
+        frame = cls(q, q_inv, complex(scale), True, None)
         q.flags.writeable = False
         q_inv.flags.writeable = False
         return frame

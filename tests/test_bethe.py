@@ -172,3 +172,13 @@ def test_onshell_lambda_is_polynomial(params_n1):
             got = scalars.eigenvalue_Lambda(pt, rs, params_n1)
             fit = np.polynomial.polynomial.polyval(pt, coeff)
             assert abs(got - fit) / scale < 1e-8
+
+
+def test_coverage_maxima_keep_non_finite_entries():
+    rs = bethe.BetheRootSet((), 0.0, "newton", ())
+    errors = (1e-12, float("nan"), 1e-13)
+    matches = [
+        bethe.SpectrumMatch(i, None, rs, err, eigen_residual=err) for i, err in enumerate(errors)
+    ]
+    cover = bethe.CoverageResult(matches, [rs], "general")
+    assert np.isnan(cover.max_match_error) and np.isnan(cover.max_eigen_residual)

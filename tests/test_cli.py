@@ -110,6 +110,29 @@ def test_cmd_verify_fast_checks(tmp_path, capsys):
     assert "suite: pass" in shown
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cmd_verify_fails_on_non_finite_residuals(tmp_path):
+    # p = 1e160 overflows the operators to NaN; a NaN sample must fail its
+    # check, not vanish from the worst residual
+    out = tmp_path / "report.json"
+    doc = {
+        "model": {"p": [1e160, 0.0]},
+        "checks": ["foundations.transfer_commute", "foundations.reflection_dressed",
+                   "exchange.bb_commute", "exchange.ab_relation", "rotated.bbar_commute",
+                   "offshell.general"],
+        "output_path": str(out),
+    }
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+    report = json.loads(out.read_text())
+    assert report["all_pass"] is False
+    for c in report["checks"]:
+        if (c["name"], c["n_sites"]) == ("exchange.bb_commute", 1):
+            # B(u) is nilpotent at N = 1, so [B(u), B(v)] is exactly zero
+            assert (c["verdict"], c["residual"]) == ("pass", 0.0)
+        else:
+            assert (c["verdict"], c["residual"]) == ("fail", None), c
+
+
 def test_cmd_verify_missing_config(tmp_path):
     assert cli.cmd_verify(str(tmp_path / "absent.json")) == 2
 

@@ -102,15 +102,6 @@ def test_commutator_norm_values(rng):
     assert abs(linalg.commutator_norm(SX, SY) - expected) < 1e-15
 
 
-def test_eig_residual_property(rng):
-    for _ in range(5):
-        m = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        w, v = linalg.eig(m)
-        for k in range(16):
-            res = np.linalg.norm(m @ v[:, k] - w[k] * v[:, k])
-            assert res / (np.linalg.norm(m) * np.linalg.norm(v[:, k])) < 1e-12
-
-
 def test_reorder_and_embed_factors():
     # embedding the swap on factors (0, 2) of three sites and acting on basis
     # vectors must exchange the outer bits

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxx import scalars
+from openxxx import bethe, scalars
 from openxxx.errors import ParameterError, PoleError
 from openxxx.model import ModelParams
 
@@ -142,6 +142,15 @@ def test_bethe_residual_reflection_invariance(params_n2):
 def test_bethe_residual_generic_nonzero(params_n2, rng):
     lams = [complex(*rng.uniform(-1, 1, 2)) for _ in range(2)]
     assert scalars.normalized_be_residual(lams, params_n2) > 1e-4
+
+
+def test_normalized_be_residual_is_non_finite_with_the_batch_merit(params_n2):
+    # lambda_1 = 1e60 makes every addend of BE_0 NaN while BE_1 stays finite
+    roots = (1e60, 0.3 + 0.1j)
+    _, merit = bethe._be_residual(np.array([roots]), params_n2)
+    assert not np.isfinite(merit[0])
+    assert not np.isfinite(scalars.normalized_be_residual(roots, params_n2))
+    assert scalars.normalized_be_residual((), params_n2) == 0.0
 
 
 def diag_be_polynomial_n1(p):

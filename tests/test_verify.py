@@ -151,3 +151,22 @@ def test_offshell_at_explicit_roots_runs_through_the_engine(params_n2):
 def test_run_suite_rejects_zero_samples(params_n2):
     with pytest.raises(ValueError):
         verify.run_suite(params_n2, checks=FAST_CHECKS[:1], n_samples=0)
+
+
+def _engine_outcome(params, check):
+    ctx = verify.CheckContext(params, 2, np.random.default_rng(0), 3, 1e-9, SolverConfig())
+    return verify._run_check("test.check", check, ctx, gating=True)
+
+
+def test_engine_fails_a_check_with_no_samples(params_n2):
+    outcome = _engine_outcome(params_n2, lambda ctx: iter(()))
+    assert (outcome.verdict, outcome.residual) == ("fail", None)
+    assert outcome.reason == "no samples evaluated"
+    assert outcome.n_samples == 3
+
+
+def test_engine_fails_a_check_with_a_nan_sample(params_n2):
+    outcome = _engine_outcome(params_n2, lambda ctx: iter((1e-12, float("nan"), 0.0)))
+    assert outcome.verdict == "fail" and np.isnan(outcome.residual)
+    outcome = _engine_outcome(params_n2, lambda ctx: iter((1e-12, 0.0)))
+    assert (outcome.verdict, outcome.residual) == ("pass", 1e-12)
