@@ -17,16 +17,15 @@ from .bethe import (
 )
 from .model import (
     ModelParams,
-    SpectralOperator,
-    build_hamiltonian,
-    build_K_minus,
-    build_K_plus,
-    build_monodromies,
-    build_open_K,
-    build_R,
-    build_transfer_entries,
-    build_transfer_trace,
-    extract_entries,
+    entry_matrices,
+    hamiltonian_matrix,
+    k_minus_matrix,
+    k_plus_matrix,
+    monodromy_matrices,
+    open_k_matrix,
+    r_matrix,
+    transfer_matrix,
+    transfer_matrix_from_entries,
 )
 from .scalars import (
     BetheRootSet,
@@ -42,21 +41,17 @@ from .scalars import (
 from .vectors import (
     CoefficientTable,
     RotatedFrame,
-    build_B_bar,
+    b_bar_matrix,
     build_bethe_vector,
-    build_rotated_generators,
     extract_V,
     extract_W,
     partition_Z,
+    rotated_entry_matrices,
 )
 from .verify import (
     VerificationReport,
-    check_exchange_relations,
-    check_foundations,
-    check_n1_decomposition,
     check_names,
     check_offshell,
-    check_onshell,
     offshell_residual,
     random_params,
     run_suite,
@@ -73,42 +68,37 @@ __all__ = [
     "ModelParams",
     "RotatedFrame",
     "SolverConfig",
-    "SpectralOperator",
     "SpectrumMatch",
     "VerificationReport",
     "alpha_bar",
+    "b_bar_matrix",
     "bethe_residual",
-    "build_B_bar",
     "build_bethe_vector",
-    "build_hamiltonian",
-    "build_K_minus",
-    "build_K_plus",
-    "build_monodromies",
-    "build_open_K",
-    "build_R",
-    "build_rotated_generators",
-    "build_transfer_entries",
-    "build_transfer_trace",
-    "check_exchange_relations",
-    "check_foundations",
-    "check_n1_decomposition",
     "check_names",
     "check_offshell",
-    "check_onshell",
     "cover_spectrum",
-    "offshell_residual",
     "delta_bar",
     "dense_spectrum_curves",
     "eigenvalue_Lambda",
+    "entry_matrices",
     "extract_V",
     "extract_W",
-    "extract_entries",
+    "hamiltonian_matrix",
+    "k_minus_matrix",
+    "k_plus_matrix",
     "lambda1",
     "lambda2",
     "match_spectrum",
+    "monodromy_matrices",
+    "offshell_residual",
+    "open_k_matrix",
     "partition_Z",
+    "r_matrix",
     "random_params",
+    "rotated_entry_matrices",
     "run_suite",
     "solve_bethe",
     "structure_fn",
+    "transfer_matrix",
+    "transfer_matrix_from_entries",
 ]

@@ -231,30 +231,23 @@ def _draw_starts(rng, n_starts: int, m: int, sigma: float) -> np.ndarray:
 def solve_bethe(
     params: ModelParams,
     cfg: SolverConfig | None = None,
-    n_roots: int | None = None,
     stats: dict | None = None,
 ) -> list[BetheRootSet]:
-    """Find Bethe-root sets by multistart damped Newton.
+    """Find sets of N Bethe roots (the general ansatz) by multistart damped Newton.
 
     Returns deduplicated solutions sorted by signature; an empty list is a
-    legal outcome.  ``n_roots`` defaults to the chain length (the general
-    ansatz); smaller values solve the diagonal-sector systems of rho = 0.
-    A ``stats`` dict, if given, is filled with start/convergence/discard
-    counters.  Deterministic for fixed (params, cfg) including the seed.
+    legal outcome.  A ``stats`` dict, if given, is filled with
+    start/convergence/discard counters.  Deterministic for fixed (params, cfg)
+    including the seed.
     """
     cfg = cfg or SolverConfig()
     if stats is None:
         stats = {}
     stats.update(n_starts=0, converged=0, discarded_guarded=0, unique=0)
-    m = params.n_sites if n_roots is None else n_roots
-    if m == 0:
-        stats.update(converged=1, unique=1)
-        return [_vacuum_set(params)]
-
     rng = np.random.default_rng(cfg.seed)
     n_starts = cfg.starts_for(params.n_sites)
     sigma = 1.0 + max((abs(t) for t in params.theta), default=0.0)
-    lam = _draw_starts(rng, n_starts, m, sigma)
+    lam = _draw_starts(rng, n_starts, params.n_sites, sigma)
     lam, merit = _damped_solve(lam, lambda rows: _be_residual(rows, params), cfg)
     found = _certify(lam[merit <= cfg.tol], params, cfg.tol, stats)
     stats["n_starts"] = n_starts
@@ -380,7 +373,7 @@ def curve_roots(
     roots of Q in w give lambda = (-1 + sqrt(1 + 4w))/2, which one Newton
     polish on BE_k and the usual certification turn into root sets; an
     empty list means the curve has no such set.  ``m = 0`` gives the empty
-    set, as ``solve_bethe`` does.
+    set.
     """
     if m == 0:
         return [_vacuum_set(params)]

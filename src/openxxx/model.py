@@ -2,7 +2,8 @@
 
 Builds the rational R-matrix, the scalar boundary matrices, bulk and dressed
 monodromies, the A/B/C/D operator entries, the transfer matrix in both its
-trace and entry forms, and the Hamiltonian.  Conventions:
+trace and entry forms, and the Hamiltonian.  Each object has one builder
+and every builder returns fresh complex ndarrays.  Conventions:
 
   * auxiliary space = tensor factor 0 (leftmost), chain sites 1..N follow;
   * spin up = basis index 0, so the pseudo-vacuum is the first basis vector;
@@ -164,26 +165,6 @@ class ModelParams:
         )
 
 
-@dataclass(frozen=True)
-class SpectralOperator:
-    """A dense operator tagged with the spectral point it was built at."""
-
-    u: complex | None
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        m = linalg.as_matrix(self.matrix)
-        if not np.isfinite(m).all():
-            raise ParameterError(f"non-finite entries in operator {self.label!r}")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def pseudo_vacuum(n_sites: int) -> np.ndarray:
     """All spins up."""
     v = np.zeros(2 ** n_sites, dtype=complex)
@@ -192,25 +173,18 @@ def pseudo_vacuum(n_sites: int) -> np.ndarray:
 
 
 def r_matrix(u) -> np.ndarray:
+    """Rational R-matrix u + P on C^2 x C^2."""
     return complex(u) * np.eye(4, dtype=complex) + PERMUTATION
 
 
-def build_R(u) -> SpectralOperator:
-    """Rational R-matrix u + P on C^2 x C^2."""
-    return SpectralOperator(complex(u), r_matrix(u), "R")
-
-
 def k_minus_matrix(u, params: ModelParams) -> np.ndarray:
+    """Diagonal scalar reflection matrix diag(p+u, p-u)."""
     u = complex(u)
     return np.array([[params.p + u, 0], [0, params.p - u]], dtype=complex)
 
 
-def build_K_minus(u, params: ModelParams) -> SpectralOperator:
-    """Diagonal scalar reflection matrix diag(p+u, p-u)."""
-    return SpectralOperator(complex(u), k_minus_matrix(u, params), "K-")
-
-
 def k_plus_matrix(u, params: ModelParams) -> np.ndarray:
+    """Left boundary matrix with off-diagonal couplings xi+- (dual reflection solution)."""
     u = complex(u)
     return np.array(
         [
@@ -219,16 +193,6 @@ def k_plus_matrix(u, params: ModelParams) -> np.ndarray:
         ],
         dtype=complex,
     )
-
-
-def build_K_plus(u, params: ModelParams) -> SpectralOperator:
-    """Left boundary matrix with off-diagonal couplings xi+- (dual reflection solution)."""
-    return SpectralOperator(complex(u), k_plus_matrix(u, params), "K+")
-
-
-def _r_aux_site(u, site: int, n_sites: int) -> np.ndarray:
-    """R acting on (aux, site) inside the aux x chain space."""
-    return linalg.embed_factors(r_matrix(u), (0, site), n_sites + 1)
 
 
 @lru_cache(maxsize=None)
@@ -246,6 +210,7 @@ def _aux_swap_columns(site: int, n_sites: int) -> np.ndarray:
 
 
 def monodromy_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """Bulk monodromies: T = R_01(u-th_1)...R_0N(u-th_N), That in reversed order at u+th_j."""
     # Right-multiplying by R_0j(x) = x + P_0j is a scaled add of permuted
     # columns; no dense kron products are ever formed.
     u = complex(u)
@@ -260,13 +225,8 @@ def monodromy_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     return T, That
 
 
-def build_monodromies(u, params: ModelParams) -> tuple[SpectralOperator, SpectralOperator]:
-    """Bulk monodromies: T = R_01(u-th_1)...R_0N(u-th_N), That in reversed order at u+th_j."""
-    T, That = monodromy_matrices(u, params)
-    return SpectralOperator(complex(u), T, "T"), SpectralOperator(complex(u), That, "That")
-
-
 def open_k_matrix(u, params: ModelParams) -> np.ndarray:
+    """Dressed (open) monodromy T K- That on aux x chain."""
     u = complex(u)
     T, That = monodromy_matrices(u, params)
     # K- x I is diagonal: scale the aux-up / aux-down column blocks of T.
@@ -274,11 +234,6 @@ def open_k_matrix(u, params: ModelParams) -> np.ndarray:
     T[:, :d] *= params.p + u
     T[:, d:] *= params.p - u
     return T @ That
-
-
-def build_open_K(u, params: ModelParams) -> SpectralOperator:
-    """Dressed (open) monodromy T K- That on aux x chain."""
-    return SpectralOperator(complex(u), open_k_matrix(u, params), "K")
 
 
 def guard_half(u) -> complex:
@@ -300,18 +255,6 @@ def entry_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.n
     return a, b, c, dd
 
 
-def extract_entries(u, params: ModelParams):
-    """Operator entries of the open monodromy as tagged operators (A, B, C, D)."""
-    a, b, c, d = entry_matrices(u, params)
-    u = complex(u)
-    return (
-        SpectralOperator(u, a, "A"),
-        SpectralOperator(u, b, "B"),
-        SpectralOperator(u, c, "C"),
-        SpectralOperator(u, d, "D"),
-    )
-
-
 def transfer_matrix(u, params: ModelParams) -> np.ndarray:
     """Transfer matrix Tr_aux(K+ K); polynomial in u, defined everywhere."""
     kp = k_plus_matrix(u, params)
@@ -323,11 +266,7 @@ def transfer_matrix(u, params: ModelParams) -> np.ndarray:
     )
 
 
-def build_transfer_trace(u, params: ModelParams) -> SpectralOperator:
-    return SpectralOperator(complex(u), transfer_matrix(u, params), "t")
-
-
-def build_transfer_entries(u, params: ModelParams) -> SpectralOperator:
+def transfer_matrix_from_entries(u, params: ModelParams) -> np.ndarray:
     """Transfer matrix recombined from the A/B/C/D entries.
 
     Equals the trace form away from u = -1/2, where the entry split has a
@@ -335,15 +274,14 @@ def build_transfer_entries(u, params: ModelParams) -> SpectralOperator:
     """
     u = guard_half(u)
     a, b, c, d = entry_matrices(u, params)
-    t = (
+    return (
         (2 * (u + params.q) * (u + 1) / (2 * u + 1)) * a
         + (u + 1) * (params.xi_minus * b + params.xi_plus * c)
         + (params.q - u - 1) * d
     )
-    return SpectralOperator(u, t, "t")
 
 
-def build_hamiltonian(params: ModelParams) -> SpectralOperator:
+def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
     """Boundary XXX Hamiltonian.
 
     (1/q)(sz_1 + xi+ s+_1 + xi- s-_1) + sum_n vec(s)_n . vec(s)_{n+1}
@@ -365,4 +303,4 @@ def build_hamiltonian(params: ModelParams) -> SpectralOperator:
         + params.eta_plus * linalg.embed_site(SIGMA_PLUS, n, n)
         + params.eta_minus * linalg.embed_site(SIGMA_MINUS, n, n)
     ) / params.p
-    return SpectralOperator(None, h, "H")
+    return h

@@ -192,14 +192,10 @@ STRUCTURE_FUNCTIONS = {
     "m": _m, "l": _l, "q_f": _q_f, "p_f": _p_f, "y": _y, "z": _z,
 }
 
-_ALIASES = {"q": "q_f", "p": "p_f"}
-
-
 def structure_fn(name: str, u, v) -> complex:
     """Evaluate an exchange-relation structure function by name."""
-    key = _ALIASES.get(name, name)
     try:
-        fn = STRUCTURE_FUNCTIONS[key]
+        fn = STRUCTURE_FUNCTIONS[name]
     except KeyError:
         raise ParameterError(f"unknown structure function {name!r}") from None
     return fn(complex(u), complex(v))

@@ -1,12 +1,15 @@
 """Boundary Bethe vectors and their expansion coefficients.
 
 The conjectured eigenvectors are N-fold products of the dressed creation
-operator Bbar acting on the all-up vacuum.  This module builds Bbar, the full
-rotated generator frame obtained by diagonalizing the left boundary matrix,
-the vectors themselves (on or off shell), and extracts the transmission
-coefficients W and the linear-dependence coefficients V numerically by
-sector-wise linear solves.  The lowering-string contraction Z^N is the
-coefficient of the all-down vector in a pure B-string.
+operator Bbar acting on the all-up vacuum.  This module builds Bbar
+(``b_bar_matrix``), the rotated entries Abar..Dbar obtained by diagonalizing
+the left boundary matrix (``rotated_entry_matrices``), the vectors themselves
+(on or off shell), and extracts the transmission coefficients W and the
+linear-dependence coefficients V numerically by sector-wise linear solves.
+The lowering-string contraction Z^N is the coefficient of the all-down
+vector in a pure B-string.  A non-finite or ill-conditioned basis raises
+``DegenerateBasisError`` and a leaking or non-finite string raises
+``ContractionError``; no extraction returns NaN.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import linalg, model, scalars
 from .errors import ContractionError, DegenerateBasisError, FrameUnavailableError
-from .model import ModelParams, SpectralOperator
+from .model import ModelParams
 
 # Gram condition number above which a coefficient-extraction basis is
 # declared degenerate; genericity of the roots is enforced, not assumed.
@@ -34,10 +37,6 @@ def b_bar_matrix(lam, params: ModelParams) -> np.ndarray:
     a, b, c_op, d = model.entry_matrices(lam, params)
     c = params.c_ratio
     return b + c * ((2 * lam / (2 * lam + 1)) * a - d) - c ** 2 * c_op
-
-
-def build_B_bar(lam, params: ModelParams) -> SpectralOperator:
-    return SpectralOperator(complex(lam), b_bar_matrix(lam, params), "Bbar")
 
 
 @dataclass(frozen=True)
@@ -97,7 +96,9 @@ def rotated_k_matrix(u, params: ModelParams) -> np.ndarray:
     return frame.scale * (q0_inv @ model.open_k_matrix(u, params) @ q0)
 
 
-def build_rotated_generators(u, params: ModelParams):
+def rotated_entry_matrices(
+    u, params: ModelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Rotated generators (Abar, Bbar, Cbar, Dbar) from exact conjugation.
 
     Dbar is the (1,1) block with its Abar/(2u+1) part removed, mirroring the
@@ -110,12 +111,7 @@ def build_rotated_generators(u, params: ModelParams):
     b = kbar[:d, d:]
     c = kbar[d:, :d]
     dd = kbar[d:, d:] - a / (2 * u + 1)
-    return (
-        SpectralOperator(u, a, "Abar"),
-        SpectralOperator(u, b, "Bbar"),
-        SpectralOperator(u, c, "Cbar"),
-        SpectralOperator(u, dd, "Dbar"),
-    )
+    return a, b, c, dd
 
 
 def build_bethe_vector(roots, params: ModelParams) -> np.ndarray:
@@ -159,9 +155,6 @@ class CoefficientTable:
     def __getitem__(self, subset) -> complex:
         return self.entries[tuple(subset)]
 
-    def subsets(self):
-        return sorted(self.entries)
-
 
 def _solve_in_sector(columns, target, n_sites: int, m: int, what: str) -> np.ndarray:
     """Solve sum_i x_i columns_i = target restricted to the m-down-spin sector."""
@@ -170,6 +163,8 @@ def _solve_in_sector(columns, target, n_sites: int, m: int, what: str) -> np.nda
     b = np.asarray(target, dtype=complex)[idx]
     if a.size == 0:
         return np.zeros(0, dtype=complex)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DegenerateBasisError(f"{what}: non-finite basis or target at order m={m}")
     cond = np.linalg.cond(a)
     if not np.isfinite(cond) or cond > MAX_BASIS_CONDITION:
         raise DegenerateBasisError(
@@ -208,7 +203,7 @@ def extract_W(roots, params: ModelParams, fit_tol: float = 1e-9) -> list[Coeffic
         for sub, w in table.entries.items():
             recon += w * basis_vectors[sub]
     scale = max(float(np.linalg.norm(phi)), 1.0)
-    if np.linalg.norm(recon - phi) > fit_tol * scale:
+    if not np.linalg.norm(recon - phi) <= fit_tol * scale:
         raise DegenerateBasisError("extract_W: reconstruction residual exceeds tolerance")
     return tables
 
@@ -248,8 +243,9 @@ def partition_Z(xs, params: ModelParams) -> complex:
     vec = _b_string_vector(xs, params)
     z = vec[-1]
     off = np.abs(vec[:-1]).max() if params.dim > 1 else 0.0
-    if off > CONTRACTION_TOL * max(abs(z), 1.0):
+    if not off <= CONTRACTION_TOL * max(abs(z), 1.0):
         raise ContractionError(
-            f"lowering string leaked outside the all-down component: {off:.2e}"
+            f"lowering string leaked outside the all-down component: {off:.2e} "
+            f"against an all-down coefficient of {abs(z):.2e}"
         )
     return complex(z)

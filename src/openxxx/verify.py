@@ -181,7 +181,7 @@ def _trace_vs_entries(ctx: CheckContext) -> Iterator[float]:
     for _ in range(ctx.n_samples):
         u = ctx.draw_point(centers=(-0.5,))
         t_trace = model.transfer_matrix(u, ctx.params)
-        t_entries = model.build_transfer_entries(u, ctx.params).matrix
+        t_entries = model.transfer_matrix_from_entries(u, ctx.params)
         yield linalg.rel_residual(t_trace - t_entries, linalg.frobenius(t_trace))
 
 
@@ -221,7 +221,7 @@ def _hamiltonian_commutes(ctx: CheckContext) -> Iterator[float]:
     hom = ModelParams.create(
         (0.0,) * p.n_sites, p.p, p.q, p.xi_plus, p.xi_minus, branch=p.branch
     )
-    h = model.build_hamiltonian(hom).matrix
+    h = model.hamiltonian_matrix(hom)
     for _ in range(ctx.n_samples):
         u = ctx.draw_point()
         yield linalg.commutator_norm(h, model.transfer_matrix(u, hom))
@@ -328,7 +328,7 @@ def _rotated_vacuum(ctx: CheckContext) -> Iterator[float]:
     c = p.c_ratio
     for _ in range(ctx.n_samples):
         u = ctx.draw_point(centers=(-0.5,))
-        abar, bbar, _, dbar = (op.matrix for op in vectors.build_rotated_generators(u, p))
+        abar, bbar, _, dbar = vectors.rotated_entry_matrices(u, p)
         bvac = bbar @ omega
         res_a = abar @ omega - frame.scale * scalars.lambda1(u, p) * omega + c * bvac
         res_d = (
@@ -346,7 +346,7 @@ def _rotated_transfer(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
     for _ in range(ctx.n_samples):
         u = ctx.draw_point(centers=(-0.5,))
-        abar, _, _, dbar = (op.matrix for op in vectors.build_rotated_generators(u, p))
+        abar, _, _, dbar = vectors.rotated_entry_matrices(u, p)
         t_frame = (
             scalars.alpha_bar(u, p) * abar + scalars.delta_bar(u, p) * dbar
         ) / frame.scale
@@ -365,7 +365,10 @@ def _rotated_bbar_commute(ctx: CheckContext) -> Iterator[float]:
 
 # --- off-shell equation ----------------------------------------------------------------
 
-def _offshell_residual(params: ModelParams, lams, u) -> float:
+def offshell_residual(params: ModelParams, roots, u) -> float:
+    """Relative residual of the off-shell equation at one spectral point."""
+    lams = [complex(r) for r in roots]
+    u = complex(u)
     t = model.transfer_matrix(u, params)
     phi = vectors.build_bethe_vector(lams, params)
     lhs = t @ phi - scalars.eigenvalue_Lambda(u, lams, params) * phi
@@ -394,7 +397,7 @@ def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[
         guards += list(scalars.root_guard_centers(params))
         for _ in range(ctx.n_samples):
             u = ctx.draw_point(tuple(guards))
-            yield _offshell_residual(params, lams, u)
+            yield offshell_residual(params, lams, u)
 
 
 @_check("offshell.general", sites=(1, 2, 3), tol=1e-9)
@@ -792,41 +795,13 @@ def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
     )
 
 
-# Convenience wrappers exposing the check families as single operations.
+def check_offshell(params, roots, seed=0, n_samples=10) -> VerificationReport:
+    """The off-shell action of the transfer matrix on the dressed vectors at ``roots``.
 
-def _family(params, prefix_or_names, seed, n_samples, solver_cfg=None, max_sites=None):
-    names = (
-        [n for n in _REGISTRY if n.startswith(prefix_or_names)]
-        if isinstance(prefix_or_names, str)
-        else list(prefix_or_names)
-    )
-    return run_suite(
-        params, checks=names, seed=seed, n_samples=n_samples,
-        solver_cfg=solver_cfg, max_sites=max_sites,
-    )
-
-
-def check_foundations(params, seed=0, n_samples=10, max_sites=None) -> VerificationReport:
-    """Reflection equations, commutativity, transfer forms, vacuum actions, [H, t]."""
-    return _family(params, "foundations.", seed, n_samples, max_sites=max_sites)
-
-
-def check_exchange_relations(params, seed=0, n_samples=10, max_sites=None) -> VerificationReport:
-    """The four operator exchange relations as full matrix identities."""
-    return _family(params, "exchange.", seed, n_samples, max_sites=max_sites)
-
-
-def check_offshell(params, roots=None, seed=0, n_samples=10, max_sites=None) -> VerificationReport:
-    """The off-shell action of the transfer matrix on the dressed vectors.
-
-    With explicit ``roots`` the residual is evaluated at exactly those
-    parameters (validated for genericity); otherwise generic roots are drawn
-    per chain length as in the registry checks.
+    The residual is evaluated at exactly those roots (validated for
+    genericity) on a chain of ``len(roots)`` sites, at ``n_samples`` drawn
+    spectral points; the registry's off-shell checks draw their own roots.
     """
-    if roots is None:
-        names = ["offshell.general", "offshell.n4_probe", "offshell.diagonal",
-                 "offshell.triangular"]
-        return _family(params, names, seed, n_samples, max_sites=max_sites)
     lams = [complex(r) for r in roots]
     site_params = params.with_sites(len(lams))
     if not scalars.roots_admissible(lams, site_params):
@@ -842,26 +817,10 @@ def check_offshell(params, roots=None, seed=0, n_samples=10, max_sites=None) -> 
 
     def at_roots(ctx: CheckContext) -> Iterator[float]:
         for _ in range(ctx.n_samples):
-            yield _offshell_residual(site_params, lams, ctx.draw_point(guards))
+            yield offshell_residual(site_params, lams, ctx.draw_point(guards))
 
     outcome = _run_check(cdef.name, at_roots, ctx, cdef.gating)
     return VerificationReport((outcome,), site_params, seed)
-
-
-def check_onshell(params, seed=0, n_samples=10, solver_cfg=None, max_sites=None) -> VerificationReport:
-    """Eigen-residuals, spectrum completeness, and on-shell polynomiality."""
-    names = ["spectrum.completeness", "onshell.eigen_residual", "onshell.polynomiality"]
-    return _family(params, names, seed, n_samples, solver_cfg=solver_cfg, max_sites=max_sites)
-
-
-def check_n1_decomposition(params, seed=0, n_samples=10) -> VerificationReport:
-    """The length-1 proof mechanics: unwanted term, G identity, vanishing brackets."""
-    return _family(params, "n1.", seed, n_samples)
-
-
-def offshell_residual(params: ModelParams, roots, u) -> float:
-    """Relative residual of the off-shell equation at one spectral point."""
-    return _offshell_residual(params, [complex(r) for r in roots], complex(u))
 
 
 def random_params(rng: np.random.Generator, n_sites: int, branch: str = "principal") -> ModelParams:

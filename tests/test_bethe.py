@@ -46,7 +46,7 @@ def test_solve_bethe_diagonal_n1_matches_polynomial_oracle():
         r for r in np.roots(diag_be_polynomial_n1(p)[::-1])
         if scalars.roots_admissible((r,), p)
     ]
-    sets = bethe.solve_bethe(p, SolverConfig(seed=3), n_roots=1)
+    sets = bethe.solve_bethe(p, SolverConfig(seed=3))
     assert sets
     for rs in sets:
         root = rs.roots[0]
@@ -86,7 +86,8 @@ def test_solve_bethe_deterministic(params_n2):
 
 
 def test_solve_bethe_empty_sector(params_n2):
-    sets = bethe.solve_bethe(params_n2, SolverConfig(seed=1), n_roots=0)
+    curve = bethe.dense_spectrum_curves(params_n2)[0]
+    sets = bethe.curve_roots(curve, params_n2, 0, SolverConfig(seed=1))
     assert len(sets) == 1 and sets[0].roots == ()
 
 

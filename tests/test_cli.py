@@ -1,7 +1,9 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from openxxx import cli, config
 from openxxx.errors import ConfigError
@@ -295,20 +297,27 @@ def test_cmd_sweep_theta_parameter(tmp_path):
         config.parse_config_dict(bad)
 
 
-def test_cmd_sweep_parallel_equals_serial(tmp_path):
-    doc = dict(BASE_DOC)
-    doc["format"] = "csv"
-    doc["sweep"] = {
-        "param": "xi_plus",
-        "grid": [[0.3, 0.0], [0.6, 0.1], [0.9, -0.2], [1.2, 0.3]],
-    }
-    cfg_path = write_config(tmp_path, doc)
-    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    assert cli.main(["sweep", "--config", cfg_path, "--out", str(serial)]) == 0
-    assert cli.main(["sweep", "--config", cfg_path, "--out", str(parallel), "--jobs", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    lines = serial.read_text().strip().splitlines()
-    assert len(lines) == 5  # header + 4 grid points
+# xi_plus values with a positive real part keep xi+ xi- clear of the -1 degeneracy.
+_XI_PLUS_POINT = st.tuples(st.floats(0.2, 1.5), st.floats(-0.3, 0.3)).map(list)
+
+
+# Each example starts two worker processes, so the example count stays small.
+@settings(max_examples=5, deadline=None)
+@given(st.lists(_XI_PLUS_POINT, min_size=1, max_size=3))
+@example([[0.3, 0.0], [0.6, 0.1], [0.9, -0.2], [1.2, 0.3]])
+def test_cmd_sweep_parallel_equals_serial(grid):
+    doc = {**BASE_DOC, "format": "csv", "sweep": {"param": "xi_plus", "grid": grid}}
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp_path = Path(tmp)
+        cfg_path = write_config(tmp_path, doc)
+        serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+        assert cli.main(["sweep", "--config", cfg_path, "--out", str(serial)]) == 0
+        assert cli.main(
+            ["sweep", "--config", cfg_path, "--out", str(parallel), "--jobs", "2"]
+        ) == 0
+        assert serial.read_bytes() == parallel.read_bytes()
+        lines = serial.read_text().strip().splitlines()
+    assert len(lines) == len(grid) + 1  # header + one row per grid point
     assert all(line.split(",")[3] == "4" for line in lines[1:])  # 4/4 matched each
 
 

@@ -52,7 +52,7 @@ def test_with_sites_slices_and_pads():
 # --- R-matrix ---------------------------------------------------------------------
 
 def test_r_at_zero_is_permutation():
-    assert np.array_equal(model.build_R(0).matrix, model.PERMUTATION)
+    assert np.array_equal(model.r_matrix(0), model.PERMUTATION)
 
 
 def test_r_product_identity():
@@ -75,19 +75,19 @@ def test_r_gl2_invariance(rng):
 # --- K matrices -------------------------------------------------------------------
 
 def test_k_minus_values(params_n1):
-    assert np.allclose(model.build_K_minus(0, params_n1).matrix, params_n1.p * np.eye(2))
-    km = model.build_K_minus(-params_n1.p, params_n1).matrix
+    assert np.allclose(model.k_minus_matrix(0, params_n1), params_n1.p * np.eye(2))
+    km = model.k_minus_matrix(-params_n1.p, params_n1)
     assert km[0, 0] == 0
 
 
 def test_k_plus_values(params_n1):
     u = 0.37 + 0.82j
-    kp = model.build_K_plus(u, params_n1).matrix
+    kp = model.k_plus_matrix(u, params_n1)
     assert abs(np.trace(kp) - 2 * params_n1.q) < 1e-14
-    kp1 = model.build_K_plus(-1, params_n1).matrix
+    kp1 = model.k_plus_matrix(-1, params_n1)
     assert kp1[0, 1] == 0 and kp1[1, 0] == 0
     diag = make_params(1, xi_plus=0.0, xi_minus=0.0)
-    kpd = model.build_K_plus(u, diag).matrix
+    kpd = model.k_plus_matrix(u, diag)
     assert kpd[0, 1] == 0 and kpd[1, 0] == 0
 
 
@@ -111,9 +111,9 @@ def test_scalar_reflection_equation(params_n1, rng):
 def test_monodromy_single_site_homogeneous():
     p = ModelParams.create([0.0], P_VAL, Q_VAL, XI_PLUS, XI_MINUS)
     u = 0.43 - 0.21j
-    T, That = model.build_monodromies(u, p)
-    assert np.allclose(T.matrix, model.r_matrix(u), atol=1e-14)
-    assert np.allclose(That.matrix, T.matrix, atol=1e-14)
+    T, That = model.monodromy_matrices(u, p)
+    assert np.allclose(T, model.r_matrix(u), atol=1e-14)
+    assert np.allclose(That, T, atol=1e-14)
 
 
 def test_monodromy_entries_polynomial_degree(params_n2):
@@ -123,9 +123,9 @@ def test_monodromy_entries_polynomial_degree(params_n2):
     pts = [0.3, -0.7, 1.1, 0.9j][: n + 2]
     extra = -1.3 + 0.4j
     for which in ((0, 0), (1, 2), (3, 3)):
-        vals = [model.build_monodromies(u, params_n2)[0].matrix[which] for u in pts]
+        vals = [model.monodromy_matrices(u, params_n2)[0][which] for u in pts]
         coeff = np.polynomial.polynomial.polyfit(np.array(pts, complex), np.array(vals), n)
-        got = model.build_monodromies(extra, params_n2)[0].matrix[which]
+        got = model.monodromy_matrices(extra, params_n2)[0][which]
         assert abs(np.polynomial.polynomial.polyval(extra, coeff) - got) < 1e-9 * max(1, abs(got))
 
 
@@ -134,7 +134,7 @@ def test_open_k_at_zero_homogeneous():
     # K(0) = P (p I) P = p I, by direct 4x4 products
     perm = model.PERMUTATION
     expected = perm @ (p.p * np.eye(4)) @ perm
-    assert np.allclose(model.build_open_K(0, p).matrix, expected, atol=1e-14)
+    assert np.allclose(model.open_k_matrix(0, p), expected, atol=1e-14)
     assert np.allclose(expected, p.p * np.eye(4), atol=1e-14)
 
 
@@ -179,13 +179,13 @@ def test_vacuum_actions(params_n2):
 
 def test_entry_pole_guard(params_n2):
     with pytest.raises(PoleError):
-        model.extract_entries(-0.5 + 1e-8j, params_n2)
+        model.entry_matrices(-0.5 + 1e-8j, params_n2)
 
 
 def test_transfer_forms_agree(params_n2):
     for u in (0.4 + 0.3j, -1.2 + 0.7j, 2.2 - 0.5j):
-        t1 = model.build_transfer_trace(u, params_n2).matrix
-        t2 = model.build_transfer_entries(u, params_n2).matrix
+        t1 = model.transfer_matrix(u, params_n2)
+        t2 = model.transfer_matrix_from_entries(u, params_n2)
         assert np.linalg.norm(t1 - t2) / np.linalg.norm(t1) < 1e-12
 
 
@@ -219,7 +219,7 @@ def test_transfer_vacuum_component_lower_triangular():
 
 def test_hamiltonian_explicit_n2():
     p = ModelParams.create([0.0, 0.0], 1.0, 1.0, 0.0, 0.0)
-    h = model.build_hamiltonian(p).matrix
+    h = model.hamiltonian_matrix(p)
     # hand-built oracle
     sz1 = np.diag([1, 1, -1, -1]).astype(complex)
     sz2 = np.diag([1, -1, 1, -1]).astype(complex)
@@ -234,7 +234,7 @@ def test_hamiltonian_explicit_n2():
 
 def test_hamiltonian_commutes_with_transfer(rng):
     p = ModelParams.create([0.0, 0.0, 0.0], P_VAL, Q_VAL, XI_PLUS, XI_MINUS)
-    h = model.build_hamiltonian(p).matrix
+    h = model.hamiltonian_matrix(p)
     for _ in range(4):
         u = complex(*rng.uniform(-1.5, 1.5, 2))
         assert linalg.commutator_norm(h, model.transfer_matrix(u, p)) < 1e-12
@@ -242,7 +242,7 @@ def test_hamiltonian_commutes_with_transfer(rng):
 
 def test_hamiltonian_symmetric_for_real_couplings():
     p = ModelParams.create([0.0, 0.0], 1.4, 0.9, 0.5, 0.5, eta_plus=0.3, eta_minus=0.3)
-    h = model.build_hamiltonian(p).matrix
+    h = model.hamiltonian_matrix(p)
     assert np.allclose(h, h.T, atol=1e-14)
     assert np.allclose(h.imag, 0, atol=1e-14)
 
@@ -250,17 +250,4 @@ def test_hamiltonian_symmetric_for_real_couplings():
 def test_hamiltonian_rejects_zero_strengths():
     p = ModelParams.create([0.0], 0.0, 1.0)
     with pytest.raises(ParameterError):
-        model.build_hamiltonian(p)
-
-
-def test_spectral_operator_immutable(params_n1):
-    op = model.build_R(0.3)
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 5.0
-
-
-def test_spectral_operator_rejects_non_finite():
-    bad = np.eye(2, dtype=complex)
-    bad[0, 0] = np.nan
-    with pytest.raises(ParameterError):
-        model.SpectralOperator(0.0, bad, "X")
+        model.hamiltonian_matrix(p)

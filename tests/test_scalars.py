@@ -71,9 +71,6 @@ def test_f_factor_simple_poles():
 def test_structure_function_values():
     assert abs(scalars.structure_fn("f", 3, 1) - 0.4) < 1e-15
     assert abs(scalars.structure_fn("h", 2, 1) - 2.5) < 1e-15
-    # q/p aliases resolve to the renamed entries
-    assert scalars.structure_fn("q", 2, 1) == scalars.structure_fn("q_f", 2, 1)
-    assert scalars.structure_fn("p", 2, 1) == scalars.structure_fn("p_f", 2, 1)
     with pytest.raises(ParameterError):
         scalars.structure_fn("nope", 1, 2)
     with pytest.raises(PoleError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxx import linalg, model, scalars, vectors
+from openxxx import config, linalg, model, scalars, vectors
 from openxxx.errors import ContractionError, DegenerateBasisError, FrameUnavailableError
 from openxxx.model import ModelParams
 
@@ -9,6 +9,11 @@ from conftest import P_VAL, Q_VAL, XI_PLUS, make_params
 
 LAMS2 = (0.43 + 0.77j, -0.21 - 0.53j)
 LAMS3 = (0.43 + 0.77j, -0.21 - 0.53j, 1.13 + 0.29j)
+
+
+def overflowing_params():
+    """The default model with p = 1e160: its two-step lowering strings overflow."""
+    return config.parse_config_dict({"model": {"p": [1e160, 0.0]}}).model
 
 
 # --- dressed creation operator ------------------------------------------------------
@@ -60,7 +65,7 @@ def test_frame_unavailable_cases():
     with pytest.raises(FrameUnavailableError):
         frame.require()
     with pytest.raises(FrameUnavailableError):
-        vectors.build_rotated_generators(0.3, tri)
+        vectors.rotated_entry_matrices(0.3, tri)
     lower = ModelParams.create([0.1], 1.5, 0.7, xi_plus=0.0, xi_minus=0.8)
     assert not vectors.RotatedFrame.from_params(lower).available
 
@@ -70,7 +75,7 @@ def test_rotated_vacuum_actions(params_n2):
     omega = model.pseudo_vacuum(2)
     c = params_n2.c_ratio
     u = 0.44 + 0.18j
-    abar, bbar, _, dbar = (op.matrix for op in vectors.build_rotated_generators(u, params_n2))
+    abar, bbar, _, dbar = vectors.rotated_entry_matrices(u, params_n2)
     bvac = bbar @ omega
     lhs_a = abar @ omega
     rhs_a = frame.scale * scalars.lambda1(u, params_n2) * omega - c * bvac
@@ -86,7 +91,7 @@ def test_rotated_vacuum_actions(params_n2):
 def test_transfer_from_rotated_frame(params_n3):
     frame = vectors.RotatedFrame.from_params(params_n3)
     u = -0.83 + 0.56j
-    abar, _, _, dbar = (op.matrix for op in vectors.build_rotated_generators(u, params_n3))
+    abar, _, _, dbar = vectors.rotated_entry_matrices(u, params_n3)
     t_frame = (scalars.alpha_bar(u, params_n3) * abar + scalars.delta_bar(u, params_n3) * dbar)
     t_frame = t_frame / frame.scale
     t = model.transfer_matrix(u, params_n3)
@@ -197,6 +202,12 @@ def test_extract_w_degenerate_basis(params_n2):
         vectors.extract_W((0.4 + 0.2j, 0.4 + 0.2j + 1e-13), params_n2)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extract_w_non_finite_basis_is_named():
+    with pytest.raises(DegenerateBasisError, match="non-finite"):
+        vectors.extract_W(LAMS2, overflowing_params())
+
+
 # --- V extraction ----------------------------------------------------------------------------
 
 def v_formula(u, lams, j):
@@ -243,6 +254,12 @@ def test_extract_v_validates_subset(params_n2):
         vectors.extract_V(0.3, (5,), LAMS2, params_n2)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_extract_v_non_finite_basis_is_named():
+    with pytest.raises(DegenerateBasisError, match="non-finite"):
+        vectors.extract_V(0.91 - 0.27j, (2,), LAMS2, overflowing_params())
+
+
 # --- partition function -----------------------------------------------------------------------
 
 def test_partition_z_n1_formula():
@@ -265,3 +282,9 @@ def test_partition_z_symmetric(params_n3):
 def test_partition_z_requires_n_arguments(params_n2):
     with pytest.raises(ContractionError):
         vectors.partition_Z((0.3,), params_n2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_partition_z_non_finite_string_is_named():
+    with pytest.raises(ContractionError):
+        vectors.partition_Z(LAMS2, overflowing_params())

@@ -95,10 +95,14 @@ def test_onshell_checks_with_solver(params_n1):
 
 
 def test_check_family_wrappers(params_n2):
-    rep = verify.check_exchange_relations(params_n2, seed=3, n_samples=2, max_sites=2)
+    def family(prefix):
+        return [n for n in verify.check_names() if n.startswith(prefix)]
+
+    rep = verify.run_suite(params_n2, checks=family("exchange."), seed=3, n_samples=2,
+                           max_sites=2)
     assert rep.all_pass
     assert all(c.name.startswith("exchange.") for c in rep.checks)
-    rep = verify.check_n1_decomposition(params_n2, seed=3, n_samples=2)
+    rep = verify.run_suite(params_n2, checks=family("n1."), seed=3, n_samples=2)
     assert rep.all_pass and {c.n_sites for c in rep.checks} == {1}
 
 
