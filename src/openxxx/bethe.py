@@ -12,7 +12,8 @@ guards, and deduplicated by their eigenvalue signature.
 Completeness works curve first.  The eigenvalue curves of t(u) come from one
 eigenbasis of the commuting family sampled on a circle, the Bethe roots of
 each curve from the linear T-Q relation with one Newton polish, and matching
-the certified roots against the curves reports what is covered.
+the certified roots against the curves reports what is covered.  The same
+t(u) samples give each matched curve's eigen-residual.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ MATCH_PROBES = (
     2.02 + 0.33j, -2.21 + 0.48j, 0.18 - 1.33j, 1.7 + 0.9j, -0.66 - 1.71j,
 ) + scalars.FALLBACK_PROBES
 
+# Solver driver: the central-difference step (relative to 1 + |lambda|), the
+# Newton step fraction tried first and the backtracking and stall limits.
+_JACOBIAN_STEP = 1e-7
+_DAMPING = 1.0
 _BACKTRACK_LIMIT = 10
 _STALL_LIMIT = 3
 
@@ -58,8 +63,6 @@ class SolverConfig:
     max_iter: int = 200
     tol: float = 1e-10
     seed: int = 1234
-    jacobian_step: float = 1e-7
-    damping: float = 1.0
 
     def __post_init__(self):
         if not 0 < self.tol < float("inf"):
@@ -70,10 +73,6 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not 0 < self.jacobian_step < float("inf"):
-            raise ValueError("jacobian_step must be positive and finite")
-        if not 0 < self.damping <= 1:
-            raise ValueError("damping must lie in (0, 1]")
 
     def starts_for(self, n_sites: int) -> int:
         return self.n_starts if self.n_starts is not None else 64 * 2 ** n_sites
@@ -130,7 +129,7 @@ def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.n
 
 # --- the solver driver ------------------------------------------------------------
 
-def _newton_steps(lam: np.ndarray, r: np.ndarray, residual, step: float) -> np.ndarray:
+def _newton_steps(lam: np.ndarray, r: np.ndarray, residual) -> np.ndarray:
     """Newton corrections solve(J, -r) for every row of a square system.
 
     J is the central-difference Jacobian of ``residual``; NaN rows on failure.
@@ -138,7 +137,7 @@ def _newton_steps(lam: np.ndarray, r: np.ndarray, residual, step: float) -> np.n
     s, n = lam.shape
     jac = np.empty((s, n, n), dtype=complex)
     for j in range(n):
-        h = step * (1.0 + np.abs(lam[:, j]))
+        h = _JACOBIAN_STEP * (1.0 + np.abs(lam[:, j]))
         up = lam.copy()
         up[:, j] += h
         dn = lam.copy()
@@ -164,7 +163,7 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
     ``residual(rows)`` returns ``(r, merit)``: the residual vectors and a
     per-row merit that is inf when not finite.  Each iteration takes one
     ``_newton_steps`` correction per active row and backtracks it from
-    ``cfg.damping`` by halving until the merit drops.  A row stops when it
+    ``_DAMPING`` by halving until the merit drops.  A row stops when it
     converges, after ``_STALL_LIMIT`` iterations without an accepted step, or
     at ``cfg.max_iter``.  The r of an accepted step feeds the next Jacobian
     step.  Returns the final rows and their merits.
@@ -178,11 +177,11 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
         if rows.size == 0:
             break
         la = lam[rows]
-        delta = _newton_steps(la, r[rows], residual, cfg.jacobian_step)
+        delta = _newton_steps(la, r[rows], residual)
         base = merit[rows]
         accepted = np.zeros(rows.size, dtype=bool)
         usable = np.isfinite(delta).all(axis=1)
-        alpha = cfg.damping
+        alpha = _DAMPING
         for _ in range(_BACKTRACK_LIMIT):
             pending = np.nonzero(usable & ~accepted)[0]
             if pending.size == 0:
@@ -258,7 +257,7 @@ def solve_bethe(
 
 def _vacuum_set(params: ModelParams) -> BetheRootSet:
     """The root set with no roots (the M = 0 sector)."""
-    sig = scalars.make_signature((), params, scalars.select_signature_probes([()], params))
+    sig = scalars.make_signature((), params, scalars.select_signature_probes([()]))
     return BetheRootSet((), 0.0, "newton", sig)
 
 
@@ -282,7 +281,7 @@ def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | Non
         log.debug("discarded %d converged runs at guarded/degenerate roots", n_guarded)
     unique: list[BetheRootSet] = []
     if candidates:
-        probes = scalars.select_signature_probes([c[0] for c in candidates], params)
+        probes = scalars.select_signature_probes([c[0] for c in candidates])
         sigs = eigenvalue_lambda_grid(probes, np.array([c[0] for c in candidates]), params)
         tagged = sorted(
             zip(map(tuple, sigs), candidates), key=lambda t: tuple((z.real, z.imag) for z in t[0])
@@ -331,21 +330,23 @@ def _in_u(coeff_s: np.ndarray, radius: float) -> np.ndarray:
     return coeffs_u
 
 
-def dense_spectrum_curves(params: ModelParams) -> list[Eigencurve]:
+def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.ndarray, np.ndarray]:
     """Eigenvalue curves of t(u) from one eigenbasis of the commuting family.
 
     t(u) is a matrix polynomial of degree 2N+2, so its samples at the 2N+3
     roots of unity on a circle give its exact coefficient matrices C_m by
     FFT.  The family commutes, so the eigenvectors V of one generic
     combination of the samples diagonalize every C_m, and the diagonals of
-    V^-1 C_m V are the curves' coefficients.  Raises ``TrackingError`` when
-    cond(V) or the relative off-diagonal residual shows V is no joint
-    eigenbasis.
+    V^-1 C_m V are the curves' coefficients.  Returns the curves, the sample
+    points and the t(u) samples there, shape (2N+3, 2^N, 2^N).  Raises
+    ``TrackingError`` when cond(V) or the relative off-diagonal residual
+    shows V is no joint eigenbasis.
     """
     k = 2 * params.n_sites + 3
     radius = _curve_radius(params)
     phases = np.exp(2j * np.pi * np.arange(k) / k)
-    samples = np.array([model.transfer_matrix(CURVE_CENTER + radius * s, params) for s in phases])
+    points = CURVE_CENTER + radius * phases
+    samples = np.array([model.transfer_matrix(u, params) for u in points])
     coeff_mats = np.fft.fft(samples, axis=0) / k
     weights = np.array([1, 1j]) @ np.random.default_rng(_MIX_SEED).standard_normal((2, k))
     _, vecs = np.linalg.eig(np.tensordot(weights, samples, axes=1))
@@ -357,7 +358,7 @@ def dense_spectrum_curves(params: ModelParams) -> list[Eigencurve]:
     off = np.linalg.norm(rotated - diag[:, :, None] * np.eye(params.dim)) / np.linalg.norm(rotated)
     if not off <= _OFFDIAG_TOL:
         raise TrackingError(f"t(u) samples are not simultaneously diagonal (residual {off:.2e})")
-    return [Eigencurve(_in_u(diag[:, i], radius)) for i in range(params.dim)]
+    return [Eigencurve(_in_u(diag[:, i], radius)) for i in range(params.dim)], points, samples
 
 
 def curve_roots(
@@ -435,7 +436,7 @@ def match_spectrum(
     """
     if not root_sets:
         return [SpectrumMatch(cid, curve, None, np.inf) for cid, curve in enumerate(curves)]
-    points = scalars.select_signature_probes(root_sets, params, 6, MATCH_PROBES)
+    points = scalars.select_signature_probes(root_sets, 6, MATCH_PROBES)
     # Lambda once per (root set, point); every curve is compared against it
     table = np.array([[scalars.eigenvalue_Lambda(pt, rs, params) for pt in points]
                       for rs in root_sets])
@@ -485,23 +486,22 @@ class CoverageResult:
         return float(np.max(vals)) if vals else np.inf
 
 
-def _eigen_residual(rs: BetheRootSet, params: ModelParams, points) -> float:
+def _eigen_residual(rs: BetheRootSet, curve: Eigencurve, points, samples, params) -> float:
+    """max_k |t(u_k) phi - c(u_k) phi| / (|t(u_k)|_F |phi|) for the Bethe vector phi.
+
+    Both sides of t(u) phi = c(u) phi are polynomials of degree 2N+2 in u, so
+    the 2N+3 samples of ``dense_spectrum_curves`` test the identity for all u.
+    """
     phi = vectors.build_bethe_vector(rs, params)
-    norm_phi = np.linalg.norm(phi)
-    scaled = []
-    for u in points:
-        t = model.transfer_matrix(u, params)
-        lam = scalars.eigenvalue_Lambda(u, rs, params)
-        resid = np.linalg.norm(t @ phi - lam * phi)
-        scaled.append(resid / max(np.linalg.norm(t) * norm_phi, 1e-300))
-    return float(np.max(scaled))
+    resid = np.linalg.norm(samples @ phi - curve(points)[:, None] * phi, axis=1)
+    scale = np.linalg.norm(samples, axis=(1, 2)) * np.linalg.norm(phi)
+    return float(np.max(resid / np.maximum(scale, 1e-300)))
 
 
 def cover_spectrum(
     params: ModelParams,
     cfg: SolverConfig | None = None,
     match_tol: float = 1e-8,
-    residual_samples: int = 4,
 ) -> CoverageResult:
     """Find the Bethe roots of every eigencurve and match them against the curves.
 
@@ -509,10 +509,12 @@ def cover_spectrum(
     roots; when rho = 0 the low-excitation curves have no finite
     representation with N roots, so every diagonal sector M = 0..N is tried
     for each curve instead.  Root sets are deduplicated by signature;
-    unmatched curves are reported, not asserted away.
+    unmatched curves are reported, not asserted away.  A matched curve's
+    eigen-residual tests its Bethe vector against the t(u) samples the
+    curves came from.
     """
     cfg = cfg or SolverConfig()
-    curves = dense_spectrum_curves(params)
+    curves, points, samples = dense_spectrum_curves(params)
     sector_mode = abs(params.rho) <= 1e-12
     mode = "diagonal-sectors" if sector_mode else "general"
     orders = range(params.n_sites + 1) if sector_mode else (params.n_sites,)
@@ -525,14 +527,10 @@ def cover_spectrum(
     root_sets.sort(key=lambda rs: rs.sort_key())
     matches = match_spectrum(curves, root_sets, params, tol=match_tol)
 
-    points = (
-        scalars.select_signature_probes(root_sets, params, residual_samples, MATCH_PROBES)
-        if root_sets else ()
-    )
     enriched = []
     for m in matches:
         if m.matched:
-            resid = _eigen_residual(m.matched_roots, params, points)
+            resid = _eigen_residual(m.matched_roots, m.curve, points, samples, params)
             m = replace(m, eigen_residual=resid, excitations=m.matched_roots.n_roots)
         enriched.append(m)
     if any(not m.matched for m in enriched):

@@ -232,12 +232,7 @@ def _coverage_payload(cover, cfg: RunConfig) -> dict:
 
 
 def _run_coverage(cfg: RunConfig):
-    return bethe.cover_spectrum(
-        cfg.model,
-        cfg.solver,
-        match_tol=cfg.spectrum.match_tol,
-        residual_samples=cfg.spectrum.residual_samples,
-    )
+    return bethe.cover_spectrum(cfg.model, cfg.solver, match_tol=cfg.spectrum.match_tol)
 
 
 def cmd_spectrum(config_path: str | None, out: str | None = None, fmt: str | None = None,

@@ -70,13 +70,10 @@ def _get_number(section, key, default, where, integer=False):
 @dataclass(frozen=True)
 class SpectrumConfig:
     match_tol: float = 1e-8
-    residual_samples: int = 4
 
     def __post_init__(self):
         if not 0 < self.match_tol < math.inf:
             raise ValueError("match_tol must be positive and finite")
-        if self.residual_samples < 1:
-            raise ValueError("residual_samples must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -134,8 +131,7 @@ def _parse_model(section: dict) -> ModelParams:
 
 
 def _parse_solver(section: dict) -> SolverConfig:
-    allowed = ("n_starts", "max_iter", "tol", "seed", "jacobian_step", "damping")
-    _require_keys(section, allowed, "solver")
+    _require_keys(section, ("n_starts", "max_iter", "tol", "seed"), "solver")
     n_starts = section.get("n_starts")
     if n_starts is not None:
         n_starts = _get_number(section, "n_starts", None, "solver", integer=True)
@@ -145,20 +141,15 @@ def _parse_solver(section: dict) -> SolverConfig:
             max_iter=_get_number(section, "max_iter", 200, "solver", integer=True),
             tol=_get_number(section, "tol", 1e-10, "solver"),
             seed=_get_number(section, "seed", DEFAULT_SEED, "solver", integer=True),
-            jacobian_step=_get_number(section, "jacobian_step", 1e-7, "solver"),
-            damping=_get_number(section, "damping", 1.0, "solver"),
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
 
 def _parse_spectrum(section: dict) -> SpectrumConfig:
-    _require_keys(section, ("match_tol", "residual_samples"), "spectrum")
+    _require_keys(section, ("match_tol",), "spectrum")
     try:
-        return SpectrumConfig(
-            match_tol=_get_number(section, "match_tol", 1e-8, "spectrum"),
-            residual_samples=_get_number(section, "residual_samples", 4, "spectrum", integer=True),
-        )
+        return SpectrumConfig(match_tol=_get_number(section, "match_tol", 1e-8, "spectrum"))
     except ValueError as exc:
         raise ConfigError(f"spectrum: {exc}") from exc
 
@@ -259,17 +250,12 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "max_iter": cfg.solver.max_iter,
             "tol": cfg.solver.tol,
             "seed": cfg.solver.seed,
-            "jacobian_step": cfg.solver.jacobian_step,
-            "damping": cfg.solver.damping,
         },
         "checks": cfg.checks,
         "n_samples": cfg.n_samples,
         "output_path": cfg.output_path,
         "format": cfg.format,
-        "spectrum": {
-            "match_tol": cfg.spectrum.match_tol,
-            "residual_samples": cfg.spectrum.residual_samples,
-        },
+        "spectrum": {"match_tol": cfg.spectrum.match_tol},
     }
     if cfg.sweep is not None:
         doc["sweep"] = {

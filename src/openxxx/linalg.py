@@ -80,16 +80,6 @@ def embed_factors(op, positions, n_factors: int) -> np.ndarray:
     return reorder_factors(big, list(positions) + rest)
 
 
-def partial_trace_aux(m, aux_dim: int) -> np.ndarray:
-    """Trace out the auxiliary (first) factor of an aux x rest operator."""
-    m = as_matrix(m)
-    dim = m.shape[0]
-    if m.shape[0] != m.shape[1] or dim % aux_dim != 0:
-        raise DimensionError(f"cannot trace aux_dim={aux_dim} out of shape {m.shape}")
-    rest = dim // aux_dim
-    return np.einsum("aiaj->ij", m.reshape(aux_dim, rest, aux_dim, rest))
-
-
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 

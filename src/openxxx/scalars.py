@@ -6,7 +6,9 @@ BE_k, the off-shell factor F, and the twelve exchange-relation structure
 functions.  All are rational; every public single-point evaluation is
 guarded against its poles with an absolute epsilon of ``model.POLE_EPS`` on
 the offending linear factor.  Lambda and BE_k share one unguarded kernel,
-``lambda_terms``, which also evaluates numpy batches for the solvers.
+``lambda_terms``, which also evaluates numpy batches for the solvers.  The
+kernel cancels the removable factors u+p and p-u-1 of the rho term, so the
+guards cover only 2u+1 and the root factors u-lambda_j, u+lambda_j+1.
 """
 
 from __future__ import annotations
@@ -46,18 +48,21 @@ def _guard(factor: complex, description: str) -> complex:
 # accept complex numbers and numpy arrays alike; the public entry points
 # after them add the pole guards for single points.
 
-def _lambda1(u, params: ModelParams):
-    out = u + params.p
+def _theta_products(u, params: ModelParams):
+    """prod_j ((u+1)^2 - theta_j^2) and prod_j (u^2 - theta_j^2)."""
+    plus = minus = 1
     for t in params.theta:
-        out = out * ((u + 1) ** 2 - t ** 2)
-    return out
+        plus = plus * ((u + 1) ** 2 - t ** 2)
+        minus = minus * (u ** 2 - t ** 2)
+    return plus, minus
 
 
-def _lambda2(u, params: ModelParams):
-    out = (2 * u / (2 * u + 1)) * (params.p - u - 1)
-    for t in params.theta:
-        out = out * (u ** 2 - t ** 2)
-    return out
+def _lambda1(u, params: ModelParams, plus):
+    return (u + params.p) * plus
+
+
+def _lambda2(u, params: ModelParams, minus):
+    return (2 * u / (2 * u + 1)) * (params.p - u - 1) * minus
 
 
 def _alpha_bar(u, params: ModelParams, rho):
@@ -70,14 +75,15 @@ def _delta_bar(u, params: ModelParams, rho):
 
 def lambda1(u, params: ModelParams) -> complex:
     """Vacuum eigenvalue of the A entry: (u+p) prod_j ((u+1)^2 - theta_j^2)."""
-    return _lambda1(complex(u), params)
+    u = complex(u)
+    return _lambda1(u, params, _theta_products(u, params)[0])
 
 
 def lambda2(u, params: ModelParams) -> complex:
     """Vacuum eigenvalue of the D entry: (2u/(2u+1))(p-u-1) prod_j (u^2 - theta_j^2)."""
     u = complex(u)
     _guard(2 * u + 1, "2u+1")
-    return _lambda2(u, params)
+    return _lambda2(u, params, _theta_products(u, params)[1])
 
 
 def alpha_bar(u, params: ModelParams) -> complex:
@@ -208,11 +214,9 @@ def _root_values(roots) -> tuple:
     return tuple(complex(v) for v in values)
 
 
-def _guard_eigenvalue_point(u, lams, params) -> complex:
+def _guard_eigenvalue_point(u, lams) -> complex:
     u = complex(u)
     _guard(2 * u + 1, "2u+1")
-    _guard(u + params.p, "u+p")
-    _guard(params.p - u - 1, "p-u-1")
     for lam in lams:
         _guard(u - lam, "u-lambda_j")
         _guard(u + lam + 1, "u+lambda_j+1")
@@ -224,18 +228,20 @@ def lambda_terms(u, roots, params: ModelParams, rho):
 
     Returns ``(alpha_bar lambda1 prod_j f(u, l_j), delta_bar lambda2 prod_j
     h(u, l_j), rho c(u) lambda1 lambda2 prod_j g(u, l_j))`` with
-    c(u) = (u+1)(2u+1)/((u+p)(p-u-1)) and g = 1/((u-l)(u+l+1)).  This is the
+    c(u) = (u+1)(2u+1)/((u+p)(p-u-1)) and g = 1/((u-l)(u+l+1)).  The factors
+    u+p of lambda1 and p-u-1 of lambda2 cancel c's denominator, so the third
+    addend is evaluated as 2 rho u(u+1) prod_j ((u+1)^2 - theta_j^2)(u^2 -
+    theta_j^2) prod_j g(u, l_j): u = -p and u = p-1 are no poles.  This is the
     one implementation of both Lambda and BE_k.  It is unguarded and works on
     complex numbers and on numpy arrays: ``u`` and every item of ``roots``
     broadcast together (iterating an array runs along its first axis), and a
     pole gives non-finite entries.  ``rho`` is an argument because Lambda and
     BE_k are affine in it for fixed roots, which yields the rho-split parts.
     """
-    l1 = _lambda1(u, params)
-    l2 = _lambda2(u, params)
-    t1 = _alpha_bar(u, params, rho) * l1
-    t2 = _delta_bar(u, params, rho) * l2
-    t3 = rho * (u + 1) * (2 * u + 1) / ((u + params.p) * (params.p - u - 1)) * l1 * l2
+    plus, minus = _theta_products(u, params)
+    t1 = _alpha_bar(u, params, rho) * _lambda1(u, params, plus)
+    t2 = _delta_bar(u, params, rho) * _lambda2(u, params, minus)
+    t3 = 2 * rho * u * (u + 1) * plus * minus
     for lam in roots:
         diff = u - lam
         summ = u + lam + 1
@@ -260,7 +266,7 @@ def be_terms(lam_k, others, params: ModelParams, rho):
 
 def _eigenvalue_at(u, roots, params: ModelParams, rho) -> complex:
     lams = _root_values(roots)
-    u = _guard_eigenvalue_point(u, lams, params)
+    u = _guard_eigenvalue_point(u, lams)
     return sum(lambda_terms(u, lams, params, rho))
 
 
@@ -286,7 +292,7 @@ def eigenvalue_Lambda_gen(u, roots, params: ModelParams) -> complex:
 def _bethe_terms_at(k: int, roots, params: ModelParams, rho):
     lams = _root_values(roots)
     others = lams[:k] + lams[k + 1:]
-    lam_k = _guard_eigenvalue_point(lams[k], others, params)
+    lam_k = _guard_eigenvalue_point(lams[k], others)
     return be_terms(lam_k, others, params, rho)
 
 
@@ -331,10 +337,11 @@ def root_guard_centers(params: ModelParams) -> tuple:
     """Points no admissible Bethe root may approach.
 
     0 and -1 are identically-vanishing points of BE_k (spurious attractors);
-    -1/2, -p, p-1 are poles of the residual; +-theta_j degenerate the vacuum
-    factors.
+    -1/2 is a pole of the residual; +-theta_j degenerate the vacuum factors.
+    u = -p and u = p-1 are no poles of Lambda or BE_k (the kernel cancels
+    them), so roots there are admissible.
     """
-    centers = [0.0 + 0.0j, -1.0 + 0.0j, -0.5 + 0.0j, -params.p, params.p - 1]
+    centers = [0.0 + 0.0j, -1.0 + 0.0j, -0.5 + 0.0j]
     for t in params.theta:
         centers.extend((t, -t))
     return tuple(centers)
@@ -356,13 +363,13 @@ def roots_admissible(roots, params: ModelParams) -> bool:
 
 
 def select_signature_probes(
-    root_sets, params: ModelParams, count: int = 3, pool=SIGNATURE_PROBES + FALLBACK_PROBES
+    root_sets, count: int = 3, pool=SIGNATURE_PROBES + FALLBACK_PROBES
 ) -> tuple:
     """First ``count`` probes of ``pool`` clear of every set's eigenvalue poles."""
     margin = 1e-4  # wider than the pole guard so Lambda stays well conditioned
     chosen = []
     for probe in pool:
-        factors = [2 * probe + 1, probe + params.p, params.p - probe - 1]
+        factors = [2 * probe + 1]
         for rs in root_sets:
             for lam in _root_values(rs):
                 factors += (probe - lam, probe + lam + 1)

@@ -666,7 +666,7 @@ def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
                 2j * np.pi * (np.arange(n_fit) + 0.3) / n_fit
             )
             guards = [g for lam in rs.roots for g in (lam, -lam - 1)]
-            guards += [-0.5, -p.p, p.p - 1]
+            guards.append(-0.5)
             if all(abs(pt - g) > 1e-2 for pt in pts for g in guards):
                 break
         else:
@@ -765,7 +765,8 @@ def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
 
     This is the only place residuals are reduced.  ``np.max`` propagates NaN,
     so a non-finite sample fails the check, and a check that evaluated no
-    samples fails instead of passing vacuously.
+    samples fails instead of passing vacuously.  A package error raised inside
+    the check fails it alone, with the error as its reason and no residual.
     """
     start = time.perf_counter()
     residual: float | None = None
@@ -779,6 +780,8 @@ def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
             verdict, reason = "fail", "no samples evaluated"
     except SkipCheck as exc:
         verdict, reason = "skipped", str(exc)
+    except OpenXXXError as exc:
+        verdict, reason = "fail", f"{type(exc).__name__}: {exc}"
     elapsed = time.perf_counter() - start
     if ctx.resamples:
         log.info("%s[N=%d]: resampled %d pole-adjacent draws", name, ctx.n_sites, ctx.resamples)

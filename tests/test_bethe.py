@@ -15,7 +15,7 @@ def test_solver_config_defaults_and_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0)
     with pytest.raises(ValueError):
-        SolverConfig(damping=0)
+        SolverConfig(max_iter=-1)
     with pytest.raises(ValueError):
         SolverConfig(n_starts=0)
 
@@ -60,7 +60,7 @@ def test_solve_bethe_n1_generic_covers_both_curves(params_n1):
     sets = bethe.solve_bethe(params_n1, SolverConfig(seed=3))
     assert len(sets) == 2
     # each signature reproduces one eigencurve of the 2x2 transfer matrix
-    curves = bethe.dense_spectrum_curves(params_n1)
+    curves, _, _ = bethe.dense_spectrum_curves(params_n1)
     matches = bethe.match_spectrum(curves, sets, params_n1, tol=1e-8)
     assert all(m.matched for m in matches)
     sigs = {id(m.matched_roots) for m in matches}
@@ -86,14 +86,14 @@ def test_solve_bethe_deterministic(params_n2):
 
 
 def test_solve_bethe_empty_sector(params_n2):
-    curve = bethe.dense_spectrum_curves(params_n2)[0]
+    curve = bethe.dense_spectrum_curves(params_n2)[0][0]
     sets = bethe.curve_roots(curve, params_n2, 0, SolverConfig(seed=1))
     assert len(sets) == 1 and sets[0].roots == ()
 
 
 def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
     for params in (params_n1, params_n2):
-        curves = bethe.dense_spectrum_curves(params)
+        curves, _, _ = bethe.dense_spectrum_curves(params)
         assert len(curves) == params.dim
         for u in (0.37 + 0.81j, -1.24 + 0.33j):
             total = sum(c(u) for c in curves)
@@ -103,7 +103,7 @@ def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
 
 
 def test_match_spectrum_flags_unmatched(params_n2):
-    curves = bethe.dense_spectrum_curves(params_n2)
+    curves, _, _ = bethe.dense_spectrum_curves(params_n2)
     matches = bethe.match_spectrum(curves, [], params_n2)
     assert all(not m.matched for m in matches)
     assert all(np.isinf(m.match_error) for m in matches)
@@ -117,7 +117,7 @@ def test_match_spectrum_flags_degenerate(params_n1):
     twin = scalars.BetheRootSet(
         tuple(-r - 1 for r in rs.roots), rs.residual_norm, "manual", rs.signature
     )
-    curves = bethe.dense_spectrum_curves(params_n1)
+    curves, _, _ = bethe.dense_spectrum_curves(params_n1)
     matches = bethe.match_spectrum(curves, [rs, twin], params_n1, tol=1e-8)
     hit = [m for m in matches if m.matched]
     assert hit
@@ -139,6 +139,15 @@ def test_cover_spectrum_generic_n2(params_n2):
         lam = scalars.eigenvalue_Lambda(u, m.matched_roots, params_n2)
         res = np.linalg.norm(t @ phi - lam * phi) / (np.linalg.norm(t) * np.linalg.norm(phi))
         assert res < 1e-8
+
+
+def test_eigen_residual_rejects_a_vector_paired_with_another_curve(params_n2):
+    curves, points, samples = bethe.dense_spectrum_curves(params_n2)
+    cover = bethe.cover_spectrum(params_n2, SolverConfig(seed=11))
+    m = cover.matches[0]
+    own = bethe._eigen_residual(m.matched_roots, m.curve, points, samples, params_n2)
+    other = bethe._eigen_residual(m.matched_roots, curves[1], points, samples, params_n2)
+    assert own <= 1e-8 and other > 1e-3
 
 
 def test_cover_spectrum_diagonal_sectors():

@@ -135,6 +135,20 @@ def test_cmd_verify_fails_on_non_finite_residuals(tmp_path):
             assert (c["verdict"], c["residual"]) == ("fail", None), c
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cmd_verify_contains_a_named_error_to_its_check(tmp_path):
+    # on this model golden.w_n2 raises DegenerateBasisError; it fails that
+    # check alone, and every other outcome is still written
+    out = tmp_path / "report.json"
+    doc = {"model": {"p": [1e160, 0.0]}, "output_path": str(out)}
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+    report = json.loads(out.read_text())
+    assert len(report["checks"]) == 72
+    (w_n2,) = [c for c in report["checks"] if (c["name"], c["n_sites"]) == ("golden.w_n2", 2)]
+    assert w_n2["verdict"] == "fail" and w_n2["residual"] is None
+    assert w_n2["reason"].startswith("DegenerateBasisError: ")
+
+
 def test_cmd_verify_missing_config(tmp_path):
     assert cli.cmd_verify(str(tmp_path / "absent.json")) == 2
 
@@ -151,9 +165,10 @@ def test_cmd_verify_unknown_check(tmp_path):
 
 
 @pytest.mark.parametrize("patch", [
-    {"solver": {"jacobian_step": 0.0}},
+    {"solver": {"jacobian_step": 0.0}},  # no longer a key: rejected as unknown
     {"solver": {"max_iter": -3}},
     {"n_samples": 0},
+    {"solver": {"damping": 1.0}},  # no longer a key, even at its old default
 ])
 def test_cmd_verify_rejects_invalid_solver_and_sample_settings(tmp_path, capsys, patch):
     doc = {**BASE_DOC, "checks": FAST_CHECKS[:1], **patch}
@@ -241,7 +256,7 @@ def test_cmd_spectrum_unmatched_reported_exit_zero(tmp_path, capsys):
 @pytest.mark.parametrize("spectrum", [
     {"match_tol": 0},
     {"match_tol": -1},
-    {"residual_samples": 0},
+    {"residual_samples": 0},  # no longer a key: rejected as unknown
     {"rounds": 3},
     {"n_probe": 96},
 ])

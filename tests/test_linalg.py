@@ -72,25 +72,6 @@ def test_embedded_sites_commute():
     assert linalg.commutator_norm(a, b) == 0
 
 
-def test_partial_trace_identity():
-    assert np.array_equal(linalg.partial_trace_aux(np.eye(4), 2), 2 * np.eye(2))
-
-
-def test_partial_trace_kron_oracle(rng):
-    a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = linalg.kron(a, b)
-    # index-sum oracle
-    expected = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            expected[i, j] = sum(m[s * 4 + i, s * 4 + j] for s in range(2))
-    got = linalg.partial_trace_aux(m, 2)
-    assert np.allclose(got, expected, atol=1e-14)
-    assert np.allclose(got, np.trace(a) * b, atol=1e-13)
-    assert abs(np.trace(got) - np.trace(m)) < 1e-12
-
-
 def test_commutator_norm_values(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert linalg.commutator_norm(np.eye(4), m) == 0

@@ -21,8 +21,6 @@ _SOLVER = st.fixed_dictionaries({
     "max_iter": st.integers(-5, 400),
     "tol": _FLOATS,
     "seed": st.one_of(st.integers(-3, -1), st.integers(0, 2**32 - 1)),
-    "jacobian_step": _FLOATS,
-    "damping": _FLOATS,
 })
 
 
@@ -32,8 +30,6 @@ def _solver_valid(kw) -> bool:
         and (kw["n_starts"] is None or kw["n_starts"] >= 1)
         and kw["max_iter"] >= 0
         and kw["seed"] >= 0
-        and 0 < kw["jacobian_step"] < math.inf
-        and 0 < kw["damping"] <= 1
     )
 
 
@@ -47,14 +43,11 @@ def test_solver_config_rejects_exactly_the_invalid(kw):
             SolverConfig(**kw)
 
 
-_SPECTRUM = st.fixed_dictionaries({
-    "match_tol": _FLOATS,
-    "residual_samples": st.integers(-3, 10),
-})
+_SPECTRUM = st.fixed_dictionaries({"match_tol": _FLOATS})
 
 
 def _spectrum_valid(kw) -> bool:
-    return 0 < kw["match_tol"] < math.inf and kw["residual_samples"] >= 1
+    return 0 < kw["match_tol"] < math.inf
 
 
 @settings(max_examples=200, deadline=None)
@@ -81,7 +74,7 @@ def test_curves_are_the_eigenvalues_off_the_sampling_circle(seed, n, boundary):
         params = params.replace_couplings(
             xi_minus=0.0, xi_plus=0.0 if boundary == "diagonal" else None
         )
-    curves = bethe.dense_spectrum_curves(params)
+    curves, _, _ = bethe.dense_spectrum_curves(params)
     assert len(curves) == params.dim
     for u in (0.31 + 0.12j, -0.87 + 0.64j, 0.68 - 0.79j, -1.4 - 0.41j):
         eig = np.linalg.eigvals(model.transfer_matrix(u, params))

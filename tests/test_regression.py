@@ -72,3 +72,13 @@ def test_cover_spectrum_n4_draw_that_broke_branch_tracking():
     cover = bethe.cover_spectrum(params, bethe.SolverConfig(seed=7))
     assert cover.matched_count == 16
     assert cover.max_eigen_residual <= 1e-7
+
+
+def test_cover_spectrum_n5_draw_with_roots_at_minus_p():
+    # the 5th draw of default_rng(11) for sizes (4, 4, 4, 5, 5, 5): two curves'
+    # root sets have a root within 1e-6 of -p, which was guarded as a pole
+    rng = np.random.default_rng(11)
+    params = [verify.random_params(rng, n) for n in (4, 4, 4, 5, 5, 5)][4]
+    cover = bethe.cover_spectrum(params, bethe.SolverConfig())
+    assert cover.matched_count == 32
+    assert cover.max_eigen_residual <= 1e-7

@@ -115,6 +115,32 @@ def test_bethe_residual_split_identity(params_n2):
         assert abs(full - (diag + params_n2.rho * gen)) < 1e-12 * max(1, abs(full))
 
 
+def test_rho_term_is_the_printed_form_with_removable_factors_cancelled(params_n3, rng):
+    # rho c(u) lambda1 lambda2 prod_j g(u, l_j), c(u) = (u+1)(2u+1)/((u+p)(p-u-1))
+    p = params_n3
+    lams = (0.43 + 0.77j, -0.21 - 0.53j, 1.13 + 0.29j)
+    for _ in range(20):
+        u = complex(*rng.uniform(-1.5, 1.5, 2))
+        c = (u + 1) * (2 * u + 1) / ((u + p.p) * (p.p - u - 1))
+        printed = p.rho * c * scalars.lambda1(u, p) * scalars.lambda2(u, p)
+        for lam in lams:
+            printed /= (u - lam) * (u + lam + 1)
+        t3 = scalars.lambda_terms(u, lams, p, p.rho)[2]
+        assert abs(t3 - printed) <= 1e-12 * abs(printed)
+
+
+def test_lambda_and_be_are_finite_at_minus_p_and_p_minus_1(params_n2):
+    p = params_n2
+    lams = (0.43 + 0.77j, -0.21 - 0.53j)
+    for point in (-p.p, p.p - 1):
+        value = scalars.eigenvalue_Lambda(point, lams, p)
+        # a removable point: the value is the limit of its neighbours
+        near = scalars.eigenvalue_Lambda(point + 1e-7, lams, p)
+        assert np.isfinite(value) and abs(value - near) < 1e-5 * max(1, abs(value))
+        be = scalars.bethe_residual(0, (point, lams[1]), p)
+        assert np.isfinite(be)
+
+
 def test_bethe_residual_is_residue_of_eigenvalue(params_n3):
     # BE_k = (2 lambda_k + 1) Res_{u=lambda_k} Lambda(u); the symmetric
     # difference quotient of (u - lambda_k) Lambda(u) has an O(eps^2) error
@@ -186,14 +212,14 @@ def test_roots_admissible_guards(params_n2):
     # pairwise and reflection degeneracies
     assert not scalars.roots_admissible((0.4 + 0.2j, 0.4 + 0.2j + 1e-10), params_n2)
     assert not scalars.roots_admissible((0.4 + 0.2j, -1.4 - 0.2j), params_n2)
-    # pole centers
-    assert not scalars.roots_admissible((-params_n2.p, 0.4 + 0.2j), params_n2)
+    # guard centers; -p is no pole of Lambda or BE_k, so a root there is admissible
+    assert scalars.roots_admissible((-params_n2.p, 0.4 + 0.2j), params_n2)
     assert not scalars.roots_admissible((params_n2.theta[0], 0.4 + 0.2j), params_n2)
 
 
 def test_signatures_and_probes(params_n2):
     roots = (0.43 + 0.77j, -0.21 - 0.53j)
-    probes = scalars.select_signature_probes([roots], params_n2)
+    probes = scalars.select_signature_probes([roots])
     sig = scalars.make_signature(roots, params_n2, probes)
     # permutation and reflection invariance of the signature
     sig_perm = scalars.make_signature(roots[::-1], params_n2, probes)
