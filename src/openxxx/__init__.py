@@ -12,7 +12,6 @@ from .bethe import (
     SpectrumMatch,
     cover_spectrum,
     dense_spectrum_curves,
-    match_spectrum,
     solve_bethe,
 )
 from .model import (
@@ -88,7 +87,6 @@ __all__ = [
     "k_plus_matrix",
     "lambda1",
     "lambda2",
-    "match_spectrum",
     "monodromy_matrices",
     "offshell_residual",
     "open_k_matrix",

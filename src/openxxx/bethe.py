@@ -11,15 +11,16 @@ guards, and deduplicated by their eigenvalue signature.
 
 Completeness works curve first.  The eigenvalue curves of t(u) come from one
 eigenbasis of the commuting family sampled on a circle, the Bethe roots of
-each curve from the linear T-Q relation with one Newton polish, and matching
-the certified roots against the curves reports what is covered.  The same
-t(u) samples give each matched curve's eigen-residual.
+each curve from the linear T-Q relation with one Newton polish.  Each curve
+is matched to the best of the certified sets solved from it, so a curve
+whose own sets do not reproduce it is reported unmatched.  The same t(u)
+samples give each matched curve's eigen-residual.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -340,7 +341,8 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     V^-1 C_m V are the curves' coefficients.  Returns the curves, the sample
     points and the t(u) samples there, shape (2N+3, 2^N, 2^N).  Raises
     ``TrackingError`` when cond(V) or the relative off-diagonal residual
-    shows V is no joint eigenbasis.
+    shows V is no joint eigenbasis, or when the rotated coefficients
+    overflow so that residual cannot be measured.
     """
     k = 2 * params.n_sites + 3
     radius = _curve_radius(params)
@@ -354,8 +356,11 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     if not cond <= _COND_LIMIT:
         raise TrackingError(f"joint eigenbasis of t(u) is ill-conditioned (cond {cond:.2e})")
     rotated = np.linalg.solve(vecs, coeff_mats @ vecs)
+    scale = np.linalg.norm(rotated)
+    if not np.isfinite(scale):
+        raise TrackingError("t(u) coefficients overflow in the joint eigenbasis")
     diag = np.diagonal(rotated, axis1=1, axis2=2)
-    off = np.linalg.norm(rotated - diag[:, :, None] * np.eye(params.dim)) / np.linalg.norm(rotated)
+    off = np.linalg.norm(rotated - diag[:, :, None] * np.eye(params.dim)) / scale
     if not off <= _OFFDIAG_TOL:
         raise TrackingError(f"t(u) samples are not simultaneously diagonal (residual {off:.2e})")
     return [Eigencurve(_in_u(diag[:, i], radius)) for i in range(params.dim)], points, samples
@@ -403,69 +408,36 @@ def curve_roots(
 
 @dataclass(frozen=True)
 class SpectrumMatch:
-    """Outcome of matching one eigencurve against the solved root sets."""
+    """Outcome of matching one eigencurve against the root sets solved from it."""
 
     curve_id: int
     curve: Eigencurve
     matched_roots: BetheRootSet | None
     match_error: float
-    alternates: tuple = ()
     eigen_residual: float | None = None
-    excitations: int | None = None
 
     @property
     def matched(self) -> bool:
         return self.matched_roots is not None
 
     @property
-    def degenerate(self) -> bool:
-        return len(self.alternates) > 0
-
-
-def match_spectrum(
-    curves,
-    root_sets,
-    params: ModelParams,
-    tol: float = 1e-8,
-) -> list[SpectrumMatch]:
-    """Assign each eigencurve the root set whose Lambda reproduces it best.
-
-    A curve with no root set within ``tol`` is reported unmatched; a curve
-    reproduced by several inequivalent root sets carries them as alternates
-    and is flagged degenerate.
-    """
-    if not root_sets:
-        return [SpectrumMatch(cid, curve, None, np.inf) for cid, curve in enumerate(curves)]
-    points = scalars.select_signature_probes(root_sets, 6, MATCH_PROBES)
-    # Lambda once per (root set, point); every curve is compared against it
-    table = np.array([[scalars.eigenvalue_Lambda(pt, rs, params) for pt in points]
-                      for rs in root_sets])
-    matches = []
-    for cid, curve in enumerate(curves):
-        cv = curve(np.array(points))
-        errs = (np.abs(table - cv) / np.maximum(1.0, np.abs(cv))).max(axis=1)
-        within = [i for i in np.argsort(errs, kind="stable") if errs[i] <= tol]
-        matches.append(
-            SpectrumMatch(
-                curve_id=cid,
-                curve=curve,
-                matched_roots=root_sets[within[0]] if within else None,
-                match_error=float(errs.min()),
-                alternates=tuple(root_sets[i] for i in within[1:]),
-            )
-        )
-    return matches
+    def excitations(self) -> int | None:
+        return self.matched_roots.n_roots if self.matched else None
 
 
 # --- end-to-end coverage ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class CoverageResult:
-    """Completeness summary: curves, matches, and the solutions that fed them."""
+    """Completeness summary: one match per eigencurve, in curve order."""
 
     matches: list
-    root_sets: list
     mode: str
+
+    @property
+    def root_sets(self) -> list[BetheRootSet]:
+        """The matched root sets in curve order."""
+        return [m.matched_roots for m in self.matches if m.matched]
 
     @property
     def matched_count(self) -> int:
@@ -503,13 +475,16 @@ def cover_spectrum(
     cfg: SolverConfig | None = None,
     match_tol: float = 1e-8,
 ) -> CoverageResult:
-    """Find the Bethe roots of every eigencurve and match them against the curves.
+    """Solve every eigencurve's Bethe roots and match each curve to its own sets.
 
     For a genuinely off-diagonal left boundary (rho != 0) every curve has N
     roots; when rho = 0 the low-excitation curves have no finite
     representation with N roots, so every diagonal sector M = 0..N is tried
-    for each curve instead.  Root sets are deduplicated by signature;
-    unmatched curves are reported, not asserted away.  A matched curve's
+    for each curve instead.  A set's match error is the worst relative
+    |Lambda - c| at 6 probes of ``MATCH_PROBES`` clear of the poles of the
+    curve's sets; the curve is matched to its best set when that is within
+    ``match_tol``, and otherwise reports the best error (inf without sets).
+    A set that reproduces no curve is dropped.  A matched curve's
     eigen-residual tests its Bethe vector against the t(u) samples the
     curves came from.
     """
@@ -518,23 +493,24 @@ def cover_spectrum(
     sector_mode = abs(params.rho) <= 1e-12
     mode = "diagonal-sectors" if sector_mode else "general"
     orders = range(params.n_sites + 1) if sector_mode else (params.n_sites,)
-    root_sets: list[BetheRootSet] = []
-    for curve in curves:
-        for m in orders:
-            for rs in curve_roots(curve, params, m, cfg):
-                if not any(scalars.signatures_match(rs.signature, k.signature) for k in root_sets):
-                    root_sets.append(rs)
-    root_sets.sort(key=lambda rs: rs.sort_key())
-    matches = match_spectrum(curves, root_sets, params, tol=match_tol)
-
-    enriched = []
-    for m in matches:
-        if m.matched:
-            resid = _eigen_residual(m.matched_roots, m.curve, points, samples, params)
-            m = replace(m, eigen_residual=resid, excitations=m.matched_roots.n_roots)
-        enriched.append(m)
-    if any(not m.matched for m in enriched):
-        log.info(
-            "%d of %d eigencurves unmatched", sum(not m.matched for m in enriched), len(curves)
-        )
-    return CoverageResult(enriched, root_sets, mode)
+    matches = []
+    for cid, curve in enumerate(curves):
+        sets = [rs for m in orders for rs in curve_roots(curve, params, m, cfg)]
+        best, err = None, np.inf
+        if sets:
+            probes = scalars.select_signature_probes(sets, 6, MATCH_PROBES)
+            table = np.array([[scalars.eigenvalue_Lambda(pt, rs, params) for pt in probes]
+                              for rs in sets])
+            cv = curve(np.array(probes))
+            errs = (np.abs(table - cv) / np.maximum(1.0, np.abs(cv))).max(axis=1)
+            best = int(np.argmin(errs))
+            err = float(errs[best])
+        if err <= match_tol:
+            resid = _eigen_residual(sets[best], curve, points, samples, params)
+            matches.append(SpectrumMatch(cid, curve, sets[best], err, resid))
+        else:
+            matches.append(SpectrumMatch(cid, curve, None, err))
+    cover = CoverageResult(matches, mode)
+    if cover.unmatched_count:
+        log.info("%d of %d eigencurves unmatched", cover.unmatched_count, len(curves))
+    return cover

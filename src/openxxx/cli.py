@@ -119,7 +119,7 @@ def cmd_verify(config_path: str | None, out: str | None = None, fmt: str | None 
             solver_cfg=cfg.solver,
         )
     except OpenXXXError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     for c in report.checks:
         residual = "" if c.residual is None else f" residual={c.residual:.3e} tol={c.tol:.1e}"
@@ -167,7 +167,7 @@ def cmd_solve(config_path: str | None, out: str | None = None, fmt: str | None =
         stats: dict = {}
         sets = bethe.solve_bethe(cfg.model, cfg.solver, stats=stats)
     except OpenXXXError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if not sets:
         print(
@@ -214,7 +214,6 @@ def _coverage_payload(cover, cfg: RunConfig) -> dict:
                 "excitations": m.excitations,
                 "match_error": _finite_or_none(m.match_error),
                 "eigen_residual": _finite_or_none(m.eigen_residual),
-                "degenerate": m.degenerate,
                 "signature": (
                     [from_complex(s) for s in m.matched_roots.signature] if m.matched else None
                 ),
@@ -245,18 +244,17 @@ def cmd_spectrum(config_path: str | None, out: str | None = None, fmt: str | Non
     try:
         cover = _run_coverage(cfg)
     except OpenXXXError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     payload = _coverage_payload(cover, cfg)
     if cfg.format == "csv":
         rows = [
             (c["curve_id"], c["matched"], c["excitations"], c["match_error"],
-             c["eigen_residual"], c["degenerate"])
+             c["eigen_residual"])
             for c in payload["curves"]
         ]
         _write_csv(
-            ("curve_id", "matched", "excitations", "match_error", "eigen_residual",
-             "degenerate"),
+            ("curve_id", "matched", "excitations", "match_error", "eigen_residual"),
             rows,
             cfg.output_path,
         )
@@ -316,7 +314,7 @@ def cmd_sweep(config_path: str | None, out: str | None = None, fmt: str | None =
         else:
             rows = [_sweep_point(doc, cfg.sweep.param, v) for v in grid]
     except OpenXXXError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     payload = {
         "command": "sweep",
@@ -381,7 +379,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out, args.format, args.seed, jobs=args.jobs)
     except Exception as exc:  # anything unexpected is an internal error
-        print(f"internal error: {exc}", file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 2
 

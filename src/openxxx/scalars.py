@@ -415,9 +415,6 @@ class BetheRootSet:
     def n_roots(self) -> int:
         return len(self.roots)
 
-    def sort_key(self):
-        return tuple((z.real, z.imag) for z in self.signature)
-
     def validate(self, params: ModelParams) -> None:
         if not roots_admissible(self.roots, params):
             raise ParameterError("root set violates separation or pole guards")

@@ -384,6 +384,14 @@ def offshell_residual(params: ModelParams, roots, u) -> float:
     return float(np.linalg.norm(lhs)) / max(scale, 1e-300)
 
 
+def _offshell_samples(ctx: CheckContext, params: ModelParams, roots) -> Iterator[float]:
+    """Off-shell residuals at ``roots`` for ``ctx.n_samples`` points drawn clear of their poles."""
+    guards = tuple(g for lam in roots for g in (lam, -lam - 1))
+    guards += scalars.root_guard_centers(params)
+    for _ in range(ctx.n_samples):
+        yield offshell_residual(params, roots, ctx.draw_point(guards))
+
+
 def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[float]:
     """Off-shell residuals of ``params`` for one root cluster per size in ``counts``.
 
@@ -392,12 +400,7 @@ def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[
     alone) gives the same draws as drawing them from ``params``.
     """
     for m in counts:
-        lams = ctx.draw_root_cluster(m)
-        guards = [g for lam in lams for g in (lam, -lam - 1)]
-        guards += list(scalars.root_guard_centers(params))
-        for _ in range(ctx.n_samples):
-            u = ctx.draw_point(tuple(guards))
-            yield offshell_residual(params, lams, u)
+        yield from _offshell_samples(ctx, params, ctx.draw_root_cluster(m))
 
 
 @_check("offshell.general", sites=(1, 2, 3), tol=1e-9)
@@ -814,15 +817,9 @@ def check_offshell(params, roots, seed=0, n_samples=10) -> VerificationReport:
         site_params, len(lams), np.random.default_rng(np.random.SeedSequence([seed])),
         n_samples, cdef.tol_at(len(lams)), SolverConfig(seed=seed),
     )
-    guards = tuple(g for lam in lams for g in (lam, -lam - 1)) + tuple(
-        scalars.root_guard_centers(site_params)
+    outcome = _run_check(
+        cdef.name, lambda c: _offshell_samples(c, site_params, lams), ctx, cdef.gating
     )
-
-    def at_roots(ctx: CheckContext) -> Iterator[float]:
-        for _ in range(ctx.n_samples):
-            yield offshell_residual(site_params, lams, ctx.draw_point(guards))
-
-    outcome = _run_check(cdef.name, at_roots, ctx, cdef.gating)
     return VerificationReport((outcome,), site_params, seed)
 
 

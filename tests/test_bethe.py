@@ -59,12 +59,15 @@ def test_solve_bethe_diagonal_n1_matches_polynomial_oracle():
 def test_solve_bethe_n1_generic_covers_both_curves(params_n1):
     sets = bethe.solve_bethe(params_n1, SolverConfig(seed=3))
     assert len(sets) == 2
-    # each signature reproduces one eigencurve of the 2x2 transfer matrix
+    # each set's Lambda reproduces a distinct eigencurve of the 2x2 transfer matrix
     curves, _, _ = bethe.dense_spectrum_curves(params_n1)
-    matches = bethe.match_spectrum(curves, sets, params_n1, tol=1e-8)
-    assert all(m.matched for m in matches)
-    sigs = {id(m.matched_roots) for m in matches}
-    assert len(sigs) == 2
+    pts = np.array(bethe.MATCH_PROBES[:6])
+    hits = []
+    for rs in sets:
+        lam = np.array([scalars.eigenvalue_Lambda(pt, rs, params_n1) for pt in pts])
+        errs = [np.max(np.abs(lam - c(pts)) / np.maximum(1.0, np.abs(c(pts)))) for c in curves]
+        hits.append([i for i, err in enumerate(errs) if err <= 1e-8])
+    assert sorted(hits) == [[0], [1]]
 
 
 def test_solve_bethe_residual_postcondition(params_n2):
@@ -100,28 +103,6 @@ def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
             tr = np.trace(model.transfer_matrix(u, params))
             assert abs(total - tr) < 1e-10 * max(1, abs(tr))
         assert all(c.degree <= 2 * params.n_sites + 2 for c in curves)
-
-
-def test_match_spectrum_flags_unmatched(params_n2):
-    curves, _, _ = bethe.dense_spectrum_curves(params_n2)
-    matches = bethe.match_spectrum(curves, [], params_n2)
-    assert all(not m.matched for m in matches)
-    assert all(np.isinf(m.match_error) for m in matches)
-
-
-def test_match_spectrum_flags_degenerate(params_n1):
-    # two inequivalent representatives of the same solution class (reflected
-    # roots) both reproduce the curve: reported as alternates, flagged
-    sets = bethe.solve_bethe(params_n1, SolverConfig(seed=3))
-    rs = sets[0]
-    twin = scalars.BetheRootSet(
-        tuple(-r - 1 for r in rs.roots), rs.residual_norm, "manual", rs.signature
-    )
-    curves, _, _ = bethe.dense_spectrum_curves(params_n1)
-    matches = bethe.match_spectrum(curves, [rs, twin], params_n1, tol=1e-8)
-    hit = [m for m in matches if m.matched]
-    assert hit
-    assert any(m.degenerate and len(m.alternates) == 1 for m in hit)
 
 
 def test_cover_spectrum_generic_n2(params_n2):
@@ -190,5 +171,5 @@ def test_coverage_maxima_keep_non_finite_entries():
     matches = [
         bethe.SpectrumMatch(i, None, rs, err, eigen_residual=err) for i, err in enumerate(errors)
     ]
-    cover = bethe.CoverageResult(matches, [rs], "general")
+    cover = bethe.CoverageResult(matches, "general")
     assert np.isnan(cover.max_match_error) and np.isnan(cover.max_eigen_residual)

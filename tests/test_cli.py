@@ -251,6 +251,16 @@ def test_cmd_spectrum_unmatched_reported_exit_zero(tmp_path, capsys):
     assert code == 0
     report = json.loads(out.read_text())
     assert report["unmatched_count"] > 0
+    # no set certifies at this tol, so no curve has a candidate: inf -> null
+    assert all(c["match_error"] is None for c in report["curves"] if not c["matched"])
+
+
+def test_cmd_spectrum_overflowing_model_is_a_tracking_error(tmp_path, capsys):
+    # with |p| = 1e160 the norm of the rotated t(u) coefficients overflows, so
+    # the off-diagonal gate read 0 and the cover reported 1/4 curves matched
+    doc = {"model": {"p": [1e160, 0.0]}}
+    assert cli.main(["spectrum", "--config", write_config(tmp_path, doc)]) == 3
+    assert "TrackingError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spectrum", [

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import openxxx
-from openxxx import config
+from openxxx import cli, config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +24,25 @@ def test_readme_config_schema_parses():
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     cfg = config.parse_config_dict(json.loads(block))
     assert cfg.sweep is not None and cfg.model.n_sites == 2
+
+
+def test_readme_csv_columns_are_the_written_headers(tmp_path):
+    # each command's CSV header on a tiny N = 1 config equals its row of the
+    # "Output formats" table, so a removed column cannot linger in the docs
+    section = README.read_text().split("## Output formats", 1)[1]
+    documented = dict(re.findall(r"^\| (\w+) +\| `([^`]*)` \|$", section, re.M))
+    assert sorted(documented) == ["solve", "spectrum", "sweep", "verify"]
+    doc = {
+        "model": {"n_sites": 1, "theta": [[0.2, 0.1]], "p": [1.7, 0.3], "q": [0.9, -0.2],
+                  "xi_plus": [0.6, 0.1], "xi_minus": [1.1, -0.4]},
+        "checks": ["foundations.trace_vs_entries"],
+        "n_samples": 2,
+        "format": "csv",
+        "sweep": {"param": "xi_plus", "grid": [[0.6, 0.1]]},
+    }
+    cfg_path = tmp_path / "n1.json"
+    cfg_path.write_text(json.dumps(doc))
+    for command, columns in documented.items():
+        out = tmp_path / f"{command}.csv"
+        assert cli.main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == columns, command

@@ -6,6 +6,8 @@ curve-targeted solves; every later implementation must reproduce them: the
 same counts, and every eigenvalue signature to 1e-8 relative.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -82,3 +84,16 @@ def test_cover_spectrum_n5_draw_with_roots_at_minus_p():
     cover = bethe.cover_spectrum(params, bethe.SolverConfig())
     assert cover.matched_count == 32
     assert cover.max_eigen_residual <= 1e-7
+
+
+def test_cover_spectrum_triangular_n3_keeps_only_matched_sets():
+    # the 3rd draw of default_rng(107) for sizes (1, 2, 3, 4) with xi- = 0: one
+    # curve's certified sets include one with two roots ~1e-5 from the guarded
+    # point 0 that reproduces no curve; it must not reach the cover's root sets
+    rng = np.random.default_rng(107)
+    params = [verify.random_params(rng, n) for n in (1, 2, 3, 4)][2]
+    cover = bethe.cover_spectrum(params.replace_couplings(xi_minus=0.0), bethe.SolverConfig())
+    assert cover.matched_count == len(cover.matches) == 8
+    assert Counter(m.excitations for m in cover.matches) == {0: 1, 1: 3, 2: 3, 3: 1}
+    assert len(cover.root_sets) == 8
+    assert all(abs(r) > 1e-4 for rs in cover.root_sets for r in rs.roots)
