@@ -2,7 +2,9 @@
 
 Lambda and BE_k are evaluated in batch by the one kernel in ``scalars``.  One
 damped Newton driver with central-difference Jacobians solves the square
-Bethe system BE_k = 0 (k = 1..M) for a batch of rows.  The blind multistart
+Bethe system BE_k = 0 (k = 1..M) for a batch of rows, one kernel call per
+stage: the stacked Jacobian, the full steps and the rest of the backtracking
+ladder, over chunks of at most ``_MAX_ROWS`` rows.  The blind multistart
 ``solve_bethe`` feeds it random starts drawn around the reflection-symmetric
 point -1/2.  Every search finishes the same way: the BE residual is
 recomputed from scratch, and converged solutions are canonicalized under the
@@ -42,11 +44,13 @@ MATCH_PROBES = (
 ) + scalars.FALLBACK_PROBES
 
 # Solver driver: the central-difference step (relative to 1 + |lambda|), the
-# Newton step fraction tried first and the backtracking and stall limits.
+# Newton step fraction tried first, the backtracking and stall limits, and the
+# most rows one residual call takes (the widest start batch, 64 * 2^5).
 _JACOBIAN_STEP = 1e-7
 _DAMPING = 1.0
 _BACKTRACK_LIMIT = 10
 _STALL_LIMIT = 3
+_MAX_ROWS = 2048
 
 # Seed of the fixed random weights that combine the t(u) samples into the one
 # matrix whose eigenvectors diagonalize the family, and the gates on that
@@ -133,17 +137,18 @@ def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.n
 def _newton_steps(lam: np.ndarray, r: np.ndarray, residual) -> np.ndarray:
     """Newton corrections solve(J, -r) for every row of a square system.
 
-    J is the central-difference Jacobian of ``residual``; NaN rows on failure.
+    J is the central-difference Jacobian of ``residual``, taken from one call
+    on the 2n copies of every row stepped up and down in each coordinate;
+    NaN rows on failure.
     """
     s, n = lam.shape
-    jac = np.empty((s, n, n), dtype=complex)
-    for j in range(n):
-        h = _JACOBIAN_STEP * (1.0 + np.abs(lam[:, j]))
-        up = lam.copy()
-        up[:, j] += h
-        dn = lam.copy()
-        dn[:, j] -= h
-        jac[:, :, j] = (residual(up)[0] - residual(dn)[0]) / (2 * h[:, None])
+    h = _JACOBIAN_STEP * (1.0 + np.abs(lam))
+    diag = np.arange(n)
+    stepped = np.repeat(lam[:, None, :], 2 * n, axis=1)
+    stepped[:, diag, diag] += h
+    stepped[:, n + diag, diag] -= h
+    rs = residual(stepped.reshape(-1, n))[0].reshape(s, 2 * n, n)
+    jac = ((rs[:, :n] - rs[:, n:]) / (2 * h[:, :, None])).transpose(0, 2, 1)
     delta = np.full_like(lam, np.nan)
     good = np.nonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r).all(axis=1))[0]
     if good.size:
@@ -162,40 +167,48 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
     """Drive every row of ``lam`` toward ``residual`` merit <= ``cfg.tol``.
 
     ``residual(rows)`` returns ``(r, merit)``: the residual vectors and a
-    per-row merit that is inf when not finite.  Each iteration takes one
-    ``_newton_steps`` correction per active row and backtracks it from
-    ``_DAMPING`` by halving until the merit drops.  A row stops when it
+    per-row merit that is inf when not finite.  Each iteration walks the
+    active rows in chunks of ``_MAX_ROWS // (2n + _BACKTRACK_LIMIT)``, so no
+    call after the first takes more than ``_MAX_ROWS`` rows.  A chunk makes
+    at most three calls: one for the ``_newton_steps`` Jacobians, one for the
+    full steps ``_DAMPING * delta``, and one for the other rungs of the
+    halving ladder on the rows whose full step did not lower the merit.  Each
+    row takes its first rung that lowers the merit.  A row stops when it
     converges, after ``_STALL_LIMIT`` iterations without an accepted step, or
     at ``cfg.max_iter``.  The r of an accepted step feeds the next Jacobian
     step.  Returns the final rows and their merits.
     """
     lam = lam.copy()
     r, merit = residual(lam)
+    n = lam.shape[1]
+    chunk = _MAX_ROWS // (2 * n + _BACKTRACK_LIMIT)
+    ladder = _DAMPING * 0.5 ** np.arange(_BACKTRACK_LIMIT)
     stalls = np.zeros(len(lam), dtype=int)
     active = merit > cfg.tol
     for _ in range(cfg.max_iter):
-        rows = np.nonzero(active)[0]
-        if rows.size == 0:
+        todo = np.nonzero(active)[0]
+        if todo.size == 0:
             break
-        la = lam[rows]
-        delta = _newton_steps(la, r[rows], residual)
-        base = merit[rows]
-        accepted = np.zeros(rows.size, dtype=bool)
-        usable = np.isfinite(delta).all(axis=1)
-        alpha = _DAMPING
-        for _ in range(_BACKTRACK_LIMIT):
-            pending = np.nonzero(usable & ~accepted)[0]
-            if pending.size == 0:
-                break
-            cand = la[pending] + alpha * delta[pending]
-            cand_r, cand_merit = residual(cand)
-            better = cand_merit < base[pending]
-            hit = rows[pending[better]]
-            lam[hit], r[hit], merit[hit] = cand[better], cand_r[better], cand_merit[better]
-            accepted[pending[better]] = True
-            alpha *= 0.5
-        stalls[rows[~accepted]] += 1
-        stalls[rows[accepted]] = 0
+        for rows in np.split(todo, range(chunk, todo.size, chunk)):
+            la = lam[rows]
+            delta = _newton_steps(la, r[rows], residual)
+            base = merit[rows]
+            accepted = np.zeros(rows.size, dtype=bool)
+            pending = np.nonzero(np.isfinite(delta).all(axis=1))[0]
+            for alphas in (ladder[:1], ladder[1:]):
+                if pending.size == 0:
+                    break
+                cand = (la[pending, None] + alphas[:, None] * delta[pending, None]).reshape(-1, n)
+                cand_r, cand_merit = residual(cand)
+                better = cand_merit.reshape(pending.size, -1) < base[pending, None]
+                hit = better.any(axis=1)
+                take = np.nonzero(hit)[0] * alphas.size + better.argmax(axis=1)[hit]
+                dst = rows[pending[hit]]
+                lam[dst], r[dst], merit[dst] = cand[take], cand_r[take], cand_merit[take]
+                accepted[pending[hit]] = True
+                pending = pending[~hit]
+            stalls[rows[~accepted]] += 1
+            stalls[rows[accepted]] = 0
         active &= (stalls < _STALL_LIMIT) & (merit > cfg.tol) & np.isfinite(lam).all(axis=1)
     return lam, merit
 
@@ -297,7 +310,7 @@ def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | Non
 
 # --- dense spectrum -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Eigencurve:
     """One transfer-matrix eigenvalue branch as a polynomial in u."""
 
@@ -356,7 +369,8 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     if not cond <= _COND_LIMIT:
         raise TrackingError(f"joint eigenbasis of t(u) is ill-conditioned (cond {cond:.2e})")
     rotated = np.linalg.solve(vecs, coeff_mats @ vecs)
-    scale = np.linalg.norm(rotated)
+    with np.errstate(over="ignore"):
+        scale = np.linalg.norm(rotated)
     if not np.isfinite(scale):
         raise TrackingError("t(u) coefficients overflow in the joint eigenbasis")
     diag = np.diagonal(rotated, axis1=1, axis2=2)
@@ -406,7 +420,7 @@ def curve_roots(
 
 # --- matching --------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpectrumMatch:
     """Outcome of matching one eigencurve against the root sets solved from it."""
 
@@ -427,7 +441,7 @@ class SpectrumMatch:
 
 # --- end-to-end coverage ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverageResult:
     """Completeness summary: one match per eigencurve, in curve order."""
 

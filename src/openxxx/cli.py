@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import bethe, config as config_mod, verify
 from .config import RunConfig, from_complex, model_to_dict, parse_config, parse_config_dict
-from .errors import ConfigError, OpenXXXError
+from .errors import ConfigError
 
 log = logging.getLogger(__name__)
 
@@ -110,17 +110,13 @@ def cmd_verify(config_path: str | None, out: str | None = None, fmt: str | None 
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        report = verify.run_suite(
-            cfg.model,
-            checks=cfg.checks,
-            seed=cfg.solver.seed,
-            n_samples=cfg.n_samples,
-            solver_cfg=cfg.solver,
-        )
-    except OpenXXXError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    report = verify.run_suite(
+        cfg.model,
+        checks=cfg.checks,
+        seed=cfg.solver.seed,
+        n_samples=cfg.n_samples,
+        solver_cfg=cfg.solver,
+    )
     for c in report.checks:
         residual = "" if c.residual is None else f" residual={c.residual:.3e} tol={c.tol:.1e}"
         extra = "" if c.gating else " [experimental]"
@@ -163,12 +159,8 @@ def cmd_solve(config_path: str | None, out: str | None = None, fmt: str | None =
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        stats: dict = {}
-        sets = bethe.solve_bethe(cfg.model, cfg.solver, stats=stats)
-    except OpenXXXError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    stats: dict = {}
+    sets = bethe.solve_bethe(cfg.model, cfg.solver, stats=stats)
     if not sets:
         print(
             "no admissible Bethe solutions converged; try more starts or another seed",
@@ -241,11 +233,7 @@ def cmd_spectrum(config_path: str | None, out: str | None = None, fmt: str | Non
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        cover = _run_coverage(cfg)
-    except OpenXXXError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    cover = _run_coverage(cfg)
     payload = _coverage_payload(cover, cfg)
     if cfg.format == "csv":
         rows = [
@@ -305,17 +293,13 @@ def cmd_sweep(config_path: str | None, out: str | None = None, fmt: str | None =
     doc = config_mod.config_to_dict(cfg)
     doc.pop("sweep", None)
     grid = [[v.real, v.imag] for v in cfg.sweep.grid]
-    try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = list(
-                    pool.map(_sweep_point, [doc] * len(grid), [cfg.sweep.param] * len(grid), grid)
-                )
-        else:
-            rows = [_sweep_point(doc, cfg.sweep.param, v) for v in grid]
-    except OpenXXXError as exc:
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            rows = list(
+                pool.map(_sweep_point, [doc] * len(grid), [cfg.sweep.param] * len(grid), grid)
+            )
+    else:
+        rows = [_sweep_point(doc, cfg.sweep.param, v) for v in grid]
     payload = {
         "command": "sweep",
         "seed": cfg.solver.seed,
@@ -378,7 +362,7 @@ def main(argv=None) -> int:
             return cmd_spectrum(args.config, args.out, args.format, args.seed)
         if args.command == "sweep":
             return cmd_sweep(args.config, args.out, args.format, args.seed, jobs=args.jobs)
-    except Exception as exc:  # anything unexpected is an internal error
+    except Exception as exc:  # a named package error or anything unexpected
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     return 2

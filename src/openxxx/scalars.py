@@ -390,7 +390,7 @@ def signatures_match(a, b, tol: float = 1e-6) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BetheRootSet:
     """A solution candidate for the Bethe equations.
 

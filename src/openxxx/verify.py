@@ -691,7 +691,7 @@ def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
 
 # --- engine ------------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckOutcome:
     name: str
     n_sites: int
@@ -704,7 +704,7 @@ class CheckOutcome:
     reason: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationReport:
     checks: tuple
     params: ModelParams

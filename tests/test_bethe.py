@@ -94,6 +94,56 @@ def test_solve_bethe_empty_sector(params_n2):
     assert len(sets) == 1 and sets[0].roots == ()
 
 
+def _count_calls(monkeypatch, *names):
+    """Wrap bethe functions to count their calls and the widest row batch."""
+    counts = {name: 0 for name in names}
+    counts["max_rows"] = 0
+
+    def wrap(name, fn):
+        def counted(lam, *args):
+            counts[name] += 1
+            counts["max_rows"] = max(counts["max_rows"], len(lam))
+            return fn(lam, *args)
+        return counted
+
+    for name in names:
+        monkeypatch.setattr(bethe, name, wrap(name, getattr(bethe, name)))
+    return counts
+
+
+def test_one_row_polish_makes_at_most_three_kernel_calls_per_iteration(params_n3, rng, monkeypatch):
+    counts = _count_calls(monkeypatch, "be_batch", "_newton_steps")
+    start = -0.5 + rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
+    residual = lambda rows: bethe._be_residual(rows, params_n3)  # noqa: E731
+    bethe._damped_solve(start, residual, SolverConfig(max_iter=30))
+    # one row is one chunk, so each iteration makes one _newton_steps call
+    assert counts["_newton_steps"] >= 1
+    assert counts["be_batch"] <= 1 + 3 * counts["_newton_steps"]
+
+
+def test_batched_solve_agrees_with_solving_each_row_alone(params_n3):
+    # 300 rows at M = 3 walk in chunks of _MAX_ROWS // 16 = 128 rows
+    starts = bethe._draw_starts(np.random.default_rng(5), 300, 3, 1.5)
+    residual = lambda rows: bethe._be_residual(rows, params_n3)  # noqa: E731
+    cfg = SolverConfig()
+    lam, merit = bethe._damped_solve(starts, residual, cfg)
+    alone = [bethe._damped_solve(row[None, :], residual, cfg) for row in starts]
+    alone_lam = np.concatenate([a[0] for a in alone])
+    alone_merit = np.concatenate([a[1] for a in alone])
+    assert np.count_nonzero(merit <= cfg.tol) > 0
+    np.testing.assert_array_equal(merit <= cfg.tol, alone_merit <= cfg.tol)
+    np.testing.assert_allclose(lam, alone_lam, rtol=1e-12)
+    np.testing.assert_allclose(merit, alone_merit, rtol=1e-12)
+
+
+def test_no_kernel_call_is_wider_than_the_start_batch_or_the_row_cap(params_n3, monkeypatch):
+    # unchunked, 600 starts at M = 3 would make 3,600-row Jacobian calls
+    counts = _count_calls(monkeypatch, "be_batch")
+    bethe.solve_bethe(params_n3, SolverConfig(n_starts=600, seed=2))
+    assert counts["be_batch"] > 0
+    assert counts["max_rows"] <= max(600, bethe._MAX_ROWS)
+
+
 def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
     for params in (params_n1, params_n2):
         curves, _, _ = bethe.dense_spectrum_curves(params)

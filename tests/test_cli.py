@@ -1,5 +1,6 @@
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -257,10 +258,14 @@ def test_cmd_spectrum_unmatched_reported_exit_zero(tmp_path, capsys):
 
 def test_cmd_spectrum_overflowing_model_is_a_tracking_error(tmp_path, capsys):
     # with |p| = 1e160 the norm of the rotated t(u) coefficients overflows, so
-    # the off-diagonal gate read 0 and the cover reported 1/4 curves matched
+    # the off-diagonal gate read 0 and the cover reported 1/4 curves matched;
+    # the gate handles the overflow, so no numpy warning may escape
     doc = {"model": {"p": [1e160, 0.0]}}
-    assert cli.main(["spectrum", "--config", write_config(tmp_path, doc)]) == 3
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["spectrum", "--config", write_config(tmp_path, doc)]) == 3
     assert "TrackingError" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("spectrum", [

@@ -39,6 +39,15 @@ SOLVE_N3 = [
     ((14.161851328353473-0.6566031408926671j), (-272.27770041516123+260.12972520067376j), (847.840533869568+12.637619479973186j)),
 ]
 
+# Blind multistart with default starts on the 3rd draw of default_rng(11) over
+# sizes (4, 4, 4, 5, 5, 5), an N = 4 instance of the benchmark's solve workload.
+SOLVE_N4_DRAW = [
+    ((0.9178568446628302-0.20024600372311555j), (120.56852784665855-192.25377590440485j), (438.6903366549756-35.06416806813104j)),
+    ((1.0839251164389174+0.2689801070820215j), (38.37146719633003+2.7967181471954863j), (110.23575354439427-317.9228323989468j)),
+    ((2.877575068884461-0.0032860073638661643j), (-62.061637337576656-288.8799368100665j), (622.098898232783-81.93851504574417j)),
+    ((14.040153603527331+4.424048483100453j), (-818.2400921227334+341.3509819576913j), (1865.491425838812-425.6934567035894j)),
+]
+
 
 def _sig_key(sig):
     return tuple((z.real, z.imag) for z in sig)
@@ -64,6 +73,13 @@ def test_solve_bethe_default_model_n3_is_pinned():
     cfg = config.default_config()
     sets = bethe.solve_bethe(cfg.model.with_sites(3), cfg.solver)
     _assert_signatures([rs.signature for rs in sets], SOLVE_N3)
+
+
+def test_solve_bethe_n4_benchmark_draw_is_pinned():
+    rng = np.random.default_rng(11)
+    params = [verify.random_params(rng, n) for n in (4, 4, 4, 5, 5, 5)][2]
+    sets = bethe.solve_bethe(params, bethe.SolverConfig())
+    _assert_signatures([rs.signature for rs in sets], SOLVE_N4_DRAW)
 
 
 def test_cover_spectrum_n4_draw_that_broke_branch_tracking():
