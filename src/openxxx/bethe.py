@@ -4,12 +4,13 @@ Lambda and BE_k are evaluated in batch by the one kernel in ``scalars``.  One
 damped Newton driver with central-difference Jacobians solves the square
 Bethe system BE_k = 0 (k = 1..M) for a batch of rows, one kernel call per
 stage: the stacked Jacobian, the full steps and the rest of the backtracking
-ladder, over chunks of at most ``_MAX_ROWS`` rows.  The blind multistart
-``solve_bethe`` feeds it random starts drawn around the reflection-symmetric
-point -1/2.  Every search finishes the same way: the BE residual is
-recomputed from scratch, and converged solutions are canonicalized under the
-lambda -> -lambda - 1 reflection, filtered against pole and degeneracy
-guards, and deduplicated by their eigenvalue signature.
+ladder, over chunks of at most ``_MAX_ROWS`` rows.  A row stops when it
+converges, when no rung of its step lowers the merit, or at ``max_iter``.
+The blind multistart ``solve_bethe`` feeds it random starts drawn around the
+reflection-symmetric point -1/2.  Every search finishes the same way: the BE
+residual is recomputed from scratch, and converged solutions are
+canonicalized under the lambda -> -lambda - 1 reflection, filtered against
+pole and degeneracy guards, and deduplicated by their eigenvalue signature.
 
 Completeness works curve first.  The eigenvalue curves of t(u) come from one
 eigenbasis of the commuting family sampled on a circle, the Bethe roots of
@@ -44,12 +45,13 @@ MATCH_PROBES = (
 ) + scalars.FALLBACK_PROBES
 
 # Solver driver: the central-difference step (relative to 1 + |lambda|), the
-# Newton step fraction tried first, the backtracking and stall limits, and the
-# most rows one residual call takes (the widest start batch, 64 * 2^5).
+# Newton step fraction tried first, the rungs of the halving ladder, and the
+# most rows one residual call takes (the widest start batch, 64 * 2^5).  A row
+# stops when it converges, when no rung of its step lowers the merit, or at
+# max_iter.
 _JACOBIAN_STEP = 1e-7
 _DAMPING = 1.0
 _BACKTRACK_LIMIT = 10
-_STALL_LIMIT = 3
 _MAX_ROWS = 2048
 
 # Seed of the fixed random weights that combine the t(u) samples into the one
@@ -101,14 +103,12 @@ def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     n = lam.shape[1]
     # others[i, k] is the i-th root other than root k, laid out (M-1, M, batch)
     # so each step of the kernel's product runs over contiguous memory
-    others = np.array([[j for j in range(n) if j != k] for k in range(n)], dtype=int)
+    others = np.arange(n - 1)[:, None] + np.tril(np.ones((n - 1, n), dtype=int))
     lam_t = np.ascontiguousarray(lam.T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1, t2, t3 = scalars.be_terms(
-            lam_t, lam_t[others.reshape(n, n - 1).T], params, params.rho
-        )
+        t1, t2, t3 = scalars.be_terms(lam_t, lam_t[others], params, params.rho)
     be = (t1 + t2 + t3).T
-    scale = np.maximum.reduce([np.abs(t1), np.abs(t2), np.abs(t3), np.ones(t1.shape)]).T
+    scale = np.maximum(np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3)), 1.0).T
     if squeeze:
         return be[0], scale[0]
     return be, scale
@@ -174,16 +174,16 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
     full steps ``_DAMPING * delta``, and one for the other rungs of the
     halving ladder on the rows whose full step did not lower the merit.  Each
     row takes its first rung that lowers the merit.  A row stops when it
-    converges, after ``_STALL_LIMIT`` iterations without an accepted step, or
-    at ``cfg.max_iter``.  The r of an accepted step feeds the next Jacobian
-    step.  Returns the final rows and their merits.
+    converges, when no rung lowers its merit or its step is not finite (it
+    keeps its lam, r and merit, and every call works row by row, so a retry
+    would repeat that step), or at ``cfg.max_iter``.  The r of an accepted
+    step feeds the next Jacobian step.  Returns the final rows and merits.
     """
     lam = lam.copy()
     r, merit = residual(lam)
     n = lam.shape[1]
     chunk = _MAX_ROWS // (2 * n + _BACKTRACK_LIMIT)
     ladder = _DAMPING * 0.5 ** np.arange(_BACKTRACK_LIMIT)
-    stalls = np.zeros(len(lam), dtype=int)
     active = merit > cfg.tol
     for _ in range(cfg.max_iter):
         todo = np.nonzero(active)[0]
@@ -193,7 +193,7 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
             la = lam[rows]
             delta = _newton_steps(la, r[rows], residual)
             base = merit[rows]
-            accepted = np.zeros(rows.size, dtype=bool)
+            active[rows] = False
             pending = np.nonzero(np.isfinite(delta).all(axis=1))[0]
             for alphas in (ladder[:1], ladder[1:]):
                 if pending.size == 0:
@@ -205,11 +205,9 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
                 take = np.nonzero(hit)[0] * alphas.size + better.argmax(axis=1)[hit]
                 dst = rows[pending[hit]]
                 lam[dst], r[dst], merit[dst] = cand[take], cand_r[take], cand_merit[take]
-                accepted[pending[hit]] = True
+                active[dst] = True
                 pending = pending[~hit]
-            stalls[rows[~accepted]] += 1
-            stalls[rows[accepted]] = 0
-        active &= (stalls < _STALL_LIMIT) & (merit > cfg.tol) & np.isfinite(lam).all(axis=1)
+        active &= (merit > cfg.tol) & np.isfinite(lam).all(axis=1)
     return lam, merit
 
 
@@ -283,7 +281,7 @@ def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | Non
     filtered by the pole and degeneracy guards and deduplicated by eigenvalue
     signature.  Returns the sets sorted by signature.
     """
-    _, final_res = _be_residual(lam, params)
+    final_res = _be_residual(lam, params)[1] if len(lam) else np.empty(0)
     hits = np.nonzero(final_res <= tol)[0]
     candidates = []
     for i in hits:

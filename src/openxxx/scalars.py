@@ -245,9 +245,10 @@ def lambda_terms(u, roots, params: ModelParams, rho):
     for lam in roots:
         diff = u - lam
         summ = u + lam + 1
-        t1 = t1 * ((diff - 1) * (summ - 1) / (diff * summ))
-        t2 = t2 * ((diff + 1) * (summ + 1) / (diff * summ))
-        t3 = t3 / (diff * summ)
+        pole = diff * summ
+        t1 = t1 * ((diff - 1) * (summ - 1) / pole)
+        t2 = t2 * ((diff + 1) * (summ + 1) / pole)
+        t3 = t3 / pole
     return t1, t2, t3
 
 

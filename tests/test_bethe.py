@@ -144,6 +144,50 @@ def test_no_kernel_call_is_wider_than_the_start_batch_or_the_row_cap(params_n3, 
     assert counts["max_rows"] <= max(600, bethe._MAX_ROWS)
 
 
+@pytest.mark.parametrize("kind", ["constant", "flat_merit"])
+def test_a_row_no_step_improves_stops_after_one_newton_stage(kind, monkeypatch):
+    # a constant residual has a singular Jacobian, so no finite step; r = lam
+    # gives the finite step -lam, but its merit stays 1 on every rung
+    counts = _count_calls(monkeypatch, "_newton_steps")
+    start = np.array([[0.3 + 0.1j, -0.7 + 0.2j, 1.1 - 0.5j]] * 4)
+
+    def residual(rows):
+        r = np.ones_like(rows) if kind == "constant" else rows.copy()
+        return r, np.ones(len(rows))
+
+    lam, merit = bethe._damped_solve(start, residual, SolverConfig())
+    assert counts["_newton_steps"] == 1
+    np.testing.assert_array_equal(lam, start)
+    np.testing.assert_array_equal(merit, 1.0)
+
+
+def test_rejected_rows_come_back_unchanged_after_one_newton_stage_per_chunk(params_n3,
+                                                                           monkeypatch):
+    residual = lambda rows: bethe._be_residual(rows, params_n3)  # noqa: E731
+    lam, merit = bethe._damped_solve(
+        bethe._draw_starts(np.random.default_rng(5), 300, 3, 1.5), residual, SolverConfig()
+    )
+    stuck = lam[merit > SolverConfig().tol]
+    # keep the rows that stopped before max_iter: one more iteration leaves them as they are
+    again, _ = bethe._damped_solve(stuck, residual, SolverConfig(max_iter=1))
+    rejected = stuck[(again == stuck).all(axis=1)]
+    chunk = bethe._MAX_ROWS // (2 * 3 + bethe._BACKTRACK_LIMIT)
+    assert len(rejected) > chunk
+    counts = _count_calls(monkeypatch, "_newton_steps")
+    out, out_merit = bethe._damped_solve(rejected, residual, SolverConfig())
+    assert counts["_newton_steps"] == int(np.ceil(len(rejected) / chunk))
+    np.testing.assert_array_equal(out, rejected)
+    np.testing.assert_array_equal(out_merit, residual(rejected)[1])
+
+
+def test_certify_of_no_rows_makes_no_kernel_call(params_n3, monkeypatch):
+    counts = _count_calls(monkeypatch, "be_batch")
+    stats = {}
+    assert bethe._certify(np.empty((0, 3), dtype=complex), params_n3, 1e-10, stats) == []
+    assert counts["be_batch"] == 0
+    assert stats == {"converged": 0, "discarded_guarded": 0, "unique": 0}
+
+
 def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
     for params in (params_n1, params_n2):
         curves, _, _ = bethe.dense_spectrum_curves(params)
