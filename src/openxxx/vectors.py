@@ -114,29 +114,38 @@ def rotated_entry_matrices(
     return a, b, c, dd
 
 
+def operator_tails(ops, vec) -> list[np.ndarray]:
+    """[ops[k] ... ops[-1] vec for k = 0..len(ops)], by matvecs from the right."""
+    tails = [vec]
+    for op in reversed(ops):
+        tails.append(op @ tails[-1])
+    return tails[::-1]
+
+
+def bethe_vector_tails(roots, params: ModelParams) -> tuple[list, list]:
+    """Each root's Bbar(lam_j), and their ``operator_tails`` on |Omega> (Phi first)."""
+    lams = scalars._root_values(roots)
+    if len(lams) > params.n_sites:
+        raise ContractionError(
+            f"{len(lams)} lowering operators annihilate a chain of {params.n_sites} sites"
+        )
+    ops = [b_bar_matrix(lam, params) for lam in lams]
+    return ops, operator_tails(ops, model.pseudo_vacuum(params.n_sites))
+
+
 def build_bethe_vector(roots, params: ModelParams) -> np.ndarray:
     """Bbar(lam_1)...Bbar(lam_M)|Omega>; roots need not satisfy the Bethe equations.
 
     M = n_sites for the general ansatz; M < n_sites builds the dressed
     M-excitation vectors used in the diagonal-sector reductions.
     """
-    lams = scalars._root_values(roots)
-    if len(lams) > params.n_sites:
-        raise ContractionError(
-            f"{len(lams)} lowering operators annihilate a chain of {params.n_sites} sites"
-        )
-    vec = model.pseudo_vacuum(params.n_sites)
-    for lam in reversed(lams):
-        vec = b_bar_matrix(lam, params) @ vec
-    return vec
+    return bethe_vector_tails(roots, params)[1][0]
 
 
 def _b_string_vector(values, params: ModelParams) -> np.ndarray:
     """B(x_1)...B(x_m)|Omega> (undressed lowering string)."""
-    vec = model.pseudo_vacuum(params.n_sites)
-    for x in reversed(tuple(values)):
-        vec = model.entry_matrices(x, params)[1] @ vec
-    return vec
+    ops = [model.entry_matrices(x, params)[1] for x in values]
+    return operator_tails(ops, model.pseudo_vacuum(params.n_sites))[0]
 
 
 @lru_cache(maxsize=None)
@@ -187,21 +196,18 @@ def extract_W(roots, params: ModelParams, fit_tol: float = 1e-9) -> list[Coeffic
     if len(lams) != n:
         raise DegenerateBasisError(f"need {n} roots for the order-N expansion, got {len(lams)}")
     phi = build_bethe_vector(lams, params)
-    basis_vectors = {}
-    tables = []
+    ops = [model.entry_matrices(lam, params)[1] for lam in lams]
+    omega = model.pseudo_vacuum(n)
+    terms, tables = [], []
     for m in range(n + 1):
         subsets = list(itertools.combinations(range(1, n + 1), m))
-        columns = []
-        for sub in subsets:
-            vec = _b_string_vector([lams[i - 1] for i in sub], params)
-            basis_vectors[sub] = vec
-            columns.append(vec)
+        columns = [operator_tails([ops[i - 1] for i in sub], omega)[0] for sub in subsets]
         coeffs = _solve_in_sector(columns, phi, n, m, "extract_W")
         tables.append(CoefficientTable(m, dict(zip(subsets, coeffs))))
+        terms += zip(coeffs, columns)
     recon = np.zeros_like(phi)
-    for table in tables:
-        for sub, w in table.entries.items():
-            recon += w * basis_vectors[sub]
+    for w, vec in terms:
+        recon += w * vec
     scale = max(float(np.linalg.norm(phi)), 1.0)
     if not np.linalg.norm(recon - phi) <= fit_tol * scale:
         raise DegenerateBasisError("extract_W: reconstruction residual exceeds tolerance")
@@ -222,9 +228,11 @@ def extract_V(u, fixed, roots, params: ModelParams) -> CoefficientTable:
         raise DegenerateBasisError(f"order m={m} exceeds chain length {n}")
     if any(not 1 <= j <= n for j in fixed):
         raise DegenerateBasisError(f"fixed subset {fixed!r} out of range 1..{n}")
-    target = _b_string_vector([complex(u)] + [lams[j - 1] for j in fixed], params)
+    ops = [model.entry_matrices(x, params)[1] for x in (complex(u),) + lams]
+    omega = model.pseudo_vacuum(n)
+    target = operator_tails([ops[0]] + [ops[j] for j in fixed], omega)[0]
     subsets = list(itertools.combinations(range(1, n + 1), m))
-    columns = [_b_string_vector([lams[i - 1] for i in sub], params) for sub in subsets]
+    columns = [operator_tails([ops[i] for i in sub], omega)[0] for sub in subsets]
     coeffs = _solve_in_sector(columns, target, n, m, "extract_V")
     return CoefficientTable(m, dict(zip(subsets, coeffs)))
 

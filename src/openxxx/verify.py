@@ -19,6 +19,7 @@ index, chain length), so verdicts are bitwise reproducible.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -205,13 +206,9 @@ def _b_nilpotency(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
     for _ in range(ctx.n_samples):
         points = [ctx.draw_point(centers=(-0.5,)) for _ in range(p.n_sites + 1)]
-        vec = model.pseudo_vacuum(p.n_sites)
-        scale = 1.0
-        for x in points:
-            b = model.entry_matrices(x, p)[1]
-            vec = b @ vec
-            scale *= max(linalg.frobenius(b), 1.0)
-        yield float(np.linalg.norm(vec)) / scale
+        bs = [model.entry_matrices(x, p)[1] for x in points]
+        vec = vectors.operator_tails(bs[::-1], model.pseudo_vacuum(p.n_sites))[0]
+        yield float(np.linalg.norm(vec)) / math.prod(max(linalg.frobenius(b), 1.0) for b in bs)
 
 
 @_check("foundations.hamiltonian_commutes", sites=(1, 2, 3, 4), tol=1e-10)
@@ -365,31 +362,36 @@ def _rotated_bbar_commute(ctx: CheckContext) -> Iterator[float]:
 
 # --- off-shell equation ----------------------------------------------------------------
 
+def offshell_residuals(params: ModelParams, roots, points) -> Iterator[float]:
+    """Relative residual of the off-shell equation at each of ``points``.
+
+    Bbar(lam_j), BE_k and the tails Bbar(lam_k+1)...Bbar(lam_M)|Omega> (Phi first) are built
+    once; Phi_k is Bbar(lam_1)...Bbar(lam_k-1) Bbar(u) on tail k+1, as build_bethe_vector does.
+    """
+    lams = [complex(r) for r in roots]
+    bbars, (phi, *tails) = vectors.bethe_vector_tails(lams, params)
+    be = [scalars.bethe_residual(k, lams, params) for k in range(len(lams))]
+    for u in map(complex, points):
+        t = model.transfer_matrix(u, params)
+        lhs = t @ phi - scalars.eigenvalue_Lambda(u, lams, params) * phi
+        b_u = [vectors.b_bar_matrix(u, params)] if lams else []
+        for k, lam in enumerate(lams):
+            phi_k = vectors.operator_tails(bbars[:k] + b_u, tails[k])[0]
+            lhs = lhs - scalars.F_factor(u, lam) * be[k] * phi_k
+        scale = linalg.frobenius(t) * float(np.linalg.norm(phi))
+        yield float(np.linalg.norm(lhs)) / max(scale, 1e-300)
+
+
 def offshell_residual(params: ModelParams, roots, u) -> float:
     """Relative residual of the off-shell equation at one spectral point."""
-    lams = [complex(r) for r in roots]
-    u = complex(u)
-    t = model.transfer_matrix(u, params)
-    phi = vectors.build_bethe_vector(lams, params)
-    lhs = t @ phi - scalars.eigenvalue_Lambda(u, lams, params) * phi
-    for k in range(len(lams)):
-        swapped = list(lams)
-        swapped[k] = u
-        lhs = lhs - (
-            scalars.F_factor(u, lams[k])
-            * scalars.bethe_residual(k, lams, params)
-            * vectors.build_bethe_vector(swapped, params)
-        )
-    scale = linalg.frobenius(t) * float(np.linalg.norm(phi))
-    return float(np.linalg.norm(lhs)) / max(scale, 1e-300)
+    return next(offshell_residuals(params, roots, (u,)))
 
 
 def _offshell_samples(ctx: CheckContext, params: ModelParams, roots) -> Iterator[float]:
     """Off-shell residuals at ``roots`` for ``ctx.n_samples`` points drawn clear of their poles."""
     guards = tuple(g for lam in roots for g in (lam, -lam - 1))
     guards += scalars.root_guard_centers(params)
-    for _ in range(ctx.n_samples):
-        yield offshell_residual(params, roots, ctx.draw_point(guards))
+    return offshell_residuals(params, roots, [ctx.draw_point(guards) for _ in range(ctx.n_samples)])
 
 
 def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[float]:

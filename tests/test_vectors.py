@@ -260,6 +260,22 @@ def test_extract_v_non_finite_basis_is_named():
         vectors.extract_V(0.91 - 0.27j, (2,), LAMS2, overflowing_params())
 
 
+def test_extract_builds_each_root_operator_once(monkeypatch, params_n3):
+    builds = []
+    open_k = model.open_k_matrix
+    monkeypatch.setattr(model, "open_k_matrix", lambda u, p: builds.append(u) or open_k(u, p))
+    vectors.extract_W(LAMS3, params_n3)
+    assert len(builds) == 3 + 3  # Bbar(lam_i) for Phi, then B(lam_i) for all 8 strings
+    builds.clear()
+    u = 0.91 - 0.27j
+    table = vectors.extract_V(u, (2, 3), LAMS3, params_n3)
+    assert len(builds) == 1 + 3  # B(u) and each B(lam_i)
+    target = vectors._b_string_vector((u,) + LAMS3[1:], params_n3)
+    column = vectors._b_string_vector(LAMS3, params_n3)
+    expected = vectors._solve_in_sector([column], target, 3, 3, "extract_V")
+    assert table[(1, 2, 3)] == expected[0]
+
+
 # --- partition function -----------------------------------------------------------------------
 
 def test_partition_z_n1_formula():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxx import verify
+from openxxx import linalg, model, scalars, vectors, verify
 from openxxx.bethe import SolverConfig
 from openxxx.errors import OpenXXXError
 from openxxx.model import ModelParams
@@ -174,3 +174,61 @@ def test_engine_fails_a_check_with_a_nan_sample(params_n2):
     assert outcome.verdict == "fail" and np.isnan(outcome.residual)
     outcome = _engine_outcome(params_n2, lambda ctx: iter((1e-12, 0.0)))
     assert (outcome.verdict, outcome.residual) == ("pass", 1e-12)
+
+
+# --- off-shell residuals: bitwise pin and monodromy build count ---------------------------
+
+OFFSHELL_ROOTS = (0.43 + 0.77j, -0.21 - 0.53j, 1.13 + 0.29j)
+OFFSHELL_POINTS = (1.21 - 0.66j, -0.37 + 0.92j, 0.58 + 0.14j, -1.1 - 0.45j)
+
+
+def _offshell_reference(params, lams, u):
+    """One-point off-shell residual with Phi and every swapped vector built from scratch."""
+    t = model.transfer_matrix(u, params)
+    phi = vectors.build_bethe_vector(lams, params)
+    lhs = t @ phi - scalars.eigenvalue_Lambda(u, lams, params) * phi
+    for k in range(len(lams)):
+        swapped = list(lams)
+        swapped[k] = u
+        lhs = lhs - (
+            scalars.F_factor(u, lams[k])
+            * scalars.bethe_residual(k, lams, params)
+            * vectors.build_bethe_vector(swapped, params)
+        )
+    scale = linalg.frobenius(t) * float(np.linalg.norm(phi))
+    return float(np.linalg.norm(lhs)) / max(scale, 1e-300)
+
+
+@pytest.mark.parametrize("n_sites, m", [(n, m) for n in (1, 2, 3) for m in range(n + 1)])
+def test_offshell_residuals_bitwise_equal_per_point_reference(monkeypatch, n_sites, m):
+    # M < N is the diagonal-sector relation, which holds only for diagonal boundaries.
+    diag = {} if m == n_sites else {"xi_plus": 0.0, "xi_minus": 0.0}
+    params, lams = make_params(n_sites, **diag), list(OFFSHELL_ROOTS[:m])
+    expected = [_offshell_reference(params, lams, u) for u in OFFSHELL_POINTS]
+    assert max(expected) < 1e-9
+    built = []
+    b_bar = vectors.b_bar_matrix
+    monkeypatch.setattr(vectors, "b_bar_matrix", lambda u, p: built.append(u) or b_bar(u, p))
+    assert list(verify.offshell_residuals(params, lams, OFFSHELL_POINTS)) == expected
+    assert len(built) == (m + len(OFFSHELL_POINTS) if m else 0)  # no Bbar(u) without roots
+    for u, res in zip(OFFSHELL_POINTS, expected):
+        assert verify.offshell_residual(params, lams, u) == res
+
+
+def test_offshell_builds_m_plus_two_monodromies_per_point(monkeypatch, params_n2):
+    # Each root's Bbar once per root set, then t(u) and Bbar(u) per point: M + 2 * n_samples.
+    builds = {}
+    open_k = model.open_k_matrix
+
+    def counting(u, params):
+        builds[params.n_sites] = builds.get(params.n_sites, 0) + 1
+        return open_k(u, params)
+
+    monkeypatch.setattr(model, "open_k_matrix", counting)
+    report = verify.run_suite(params_n2, checks=["offshell.general"], seed=1, n_samples=10)
+    assert report.all_pass
+    assert builds == {1: 21, 2: 22, 3: 23}
+    builds.clear()
+    report = verify.run_suite(params_n2, checks=["offshell.n4_probe"], seed=1, n_samples=10)
+    assert [c.verdict for c in report.checks] == ["pass"]
+    assert builds == {4: 24}
