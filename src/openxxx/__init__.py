@@ -20,7 +20,6 @@ from .model import (
     hamiltonian_matrix,
     k_minus_matrix,
     k_plus_matrix,
-    monodromy_matrices,
     open_k_matrix,
     r_matrix,
     transfer_matrix,
@@ -87,7 +86,6 @@ __all__ = [
     "k_plus_matrix",
     "lambda1",
     "lambda2",
-    "monodromy_matrices",
     "offshell_residual",
     "open_k_matrix",
     "partition_Z",

@@ -17,8 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import bethe, config as config_mod, verify
-from .config import RunConfig, from_complex, model_to_dict, parse_config, parse_config_dict
+from .config import RunConfig, from_complex, model_to_dict, parse_config
 from .errors import ConfigError
+from .model import ModelParams
 
 log = logging.getLogger(__name__)
 
@@ -257,22 +258,11 @@ def cmd_spectrum(config_path: str | None, out: str | None = None, fmt: str | Non
 
 # --- sweep ---------------------------------------------------------------------------
 
-def _sweep_point(doc: dict, param: str, value_pair: list) -> dict:
-    value = complex(value_pair[0], value_pair[1])
-    model_doc = dict(doc.get("model", {}))
-    theta_idx = config_mod.sweep_theta_index(param)
-    if theta_idx is not None:
-        theta = [list(t) for t in model_doc["theta"]]
-        theta[theta_idx - 1] = [value.real, value.imag]
-        model_doc["theta"] = theta
-    else:
-        model_doc[param] = [value.real, value.imag]
-    point_doc = {**doc, "model": model_doc}
-    point_cfg = parse_config_dict(point_doc)
-    cover = _run_coverage(point_cfg)
+def _sweep_point(cfg: RunConfig, value: complex, point: ModelParams) -> dict:
+    cover = _run_coverage(dataclasses.replace(cfg, model=point))
     return {
-        "param": param,
-        "value": [value.real, value.imag],
+        "param": cfg.sweep.param,
+        "value": from_complex(value),
         "matched_count": cover.matched_count,
         "unmatched_count": cover.unmatched_count,
         "max_match_error": _finite_or_none(cover.max_match_error),
@@ -287,19 +277,18 @@ def cmd_sweep(config_path: str | None, out: str | None = None, fmt: str | None =
         cfg = _load(config_path, seed, fmt, out)
         if cfg.sweep is None:
             raise ConfigError("sweep command requires a sweep section in the config")
+        if jobs < 1:
+            raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    doc = config_mod.config_to_dict(cfg)
-    doc.pop("sweep", None)
-    grid = [[v.real, v.imag] for v in cfg.sweep.grid]
+    grid, models = cfg.sweep.grid, cfg.sweep.models
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(
-                pool.map(_sweep_point, [doc] * len(grid), [cfg.sweep.param] * len(grid), grid)
-            )
+        # with the fork start method the pool starts all its workers at once
+        with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
+            rows = list(pool.map(_sweep_point, [cfg] * len(grid), grid, models))
     else:
-        rows = [_sweep_point(doc, cfg.sweep.param, v) for v in grid]
+        rows = [_sweep_point(cfg, v, m) for v, m in zip(grid, models)]
     payload = {
         "command": "sweep",
         "seed": cfg.solver.seed,

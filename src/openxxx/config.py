@@ -80,6 +80,7 @@ class SpectrumConfig:
 class SweepConfig:
     param: str
     grid: tuple
+    models: tuple  # the validated model at each grid point
 
     # also accepts theta_<j>, 1-based site index
     VALID_PARAMS = ("p", "q", "xi_plus", "xi_minus")
@@ -163,7 +164,18 @@ def sweep_theta_index(param: str) -> int | None:
     return None
 
 
-def _parse_sweep(section: dict, n_sites: int) -> SweepConfig:
+def _sweep_point_model(model_doc: dict, param: str, value: complex) -> ModelParams:
+    model_doc = dict(model_doc)
+    theta_idx = sweep_theta_index(param)
+    if theta_idx is not None:
+        model_doc["theta"] = [list(t) for t in model_doc["theta"]]
+        model_doc["theta"][theta_idx - 1] = from_complex(value)
+    else:
+        model_doc[param] = from_complex(value)
+    return _parse_model(model_doc)
+
+
+def _parse_sweep(section: dict, model: ModelParams) -> SweepConfig:
     _require_keys(section, ("param", "grid"), "sweep")
     param = section.get("param")
     theta_idx = sweep_theta_index(param) if isinstance(param, str) else None
@@ -171,13 +183,20 @@ def _parse_sweep(section: dict, n_sites: int) -> SweepConfig:
         raise ConfigError(
             f"sweep.param: expected one of {SweepConfig.VALID_PARAMS} or theta_<j>, got {param!r}"
         )
-    if theta_idx is not None and theta_idx > n_sites:
-        raise ConfigError(f"sweep.param: {param} exceeds the chain length {n_sites}")
+    if theta_idx is not None and theta_idx > model.n_sites:
+        raise ConfigError(f"sweep.param: {param} exceeds the chain length {model.n_sites}")
     grid_raw = section.get("grid")
     if not isinstance(grid_raw, list) or not grid_raw:
         raise ConfigError("sweep.grid: expected a non-empty list of values")
     grid = tuple(to_complex(v, f"sweep.grid[{i}]") for i, v in enumerate(grid_raw))
-    return SweepConfig(param=param, grid=grid)
+    # every grid point must be a valid model before any point runs
+    model_doc, models = model_to_dict(model), []
+    for i, value in enumerate(grid):
+        try:
+            models.append(_sweep_point_model(model_doc, param, value))
+        except ConfigError as exc:
+            raise ConfigError(f"sweep.grid[{i}]: {exc}") from exc
+    return SweepConfig(param=param, grid=grid, models=tuple(models))
 
 
 def parse_config_dict(doc: dict) -> RunConfig:
@@ -212,7 +231,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
         output_path=output_path,
         format=fmt,
         spectrum=_parse_spectrum(doc.get("spectrum", {})),
-        sweep=_parse_sweep(sweep, model.n_sites) if sweep is not None else None,
+        sweep=_parse_sweep(sweep, model) if sweep is not None else None,
     )
 
 

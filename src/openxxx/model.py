@@ -1,7 +1,7 @@
 """Lattice objects of the open XXX chain with boundary couplings.
 
-Builds the rational R-matrix, the scalar boundary matrices, bulk and dressed
-monodromies, the A/B/C/D operator entries, the transfer matrix in both its
+Builds the rational R-matrix, the scalar boundary matrices, the dressed
+monodromy, the A/B/C/D operator entries, the transfer matrix in both its
 trace and entry forms, and the Hamiltonian.  Each object has one builder
 and every builder returns fresh complex ndarrays.  Conventions:
 
@@ -209,31 +209,24 @@ def _aux_swap_columns(site: int, n_sites: int) -> np.ndarray:
     return swapped
 
 
-def monodromy_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Bulk monodromies: T = R_01(u-th_1)...R_0N(u-th_N), That in reversed order at u+th_j."""
-    # Right-multiplying by R_0j(x) = x + P_0j is a scaled add of permuted
-    # columns; no dense kron products are ever formed.
-    u = complex(u)
-    n = params.n_sites
-    dim = 2 ** (n + 1)
-    T = np.eye(dim, dtype=complex)
-    for j in range(1, n + 1):
-        T = (u - params.theta[j - 1]) * T + T[:, _aux_swap_columns(j, n)]
-    That = np.eye(dim, dtype=complex)
-    for j in range(n, 0, -1):
-        That = (u + params.theta[j - 1]) * That + That[:, _aux_swap_columns(j, n)]
-    return T, That
-
-
 def open_k_matrix(u, params: ModelParams) -> np.ndarray:
-    """Dressed (open) monodromy T K- That on aux x chain."""
+    """Dressed monodromy T K- That = R_01...R_0N (K- x I) R_0N...R_01 on aux x chain.
+
+    T has the factors R_0j(u - th_j), That R_0j(u + th_j).  Built from the
+    identity by column operations alone: right-multiplying by R_0j(x) =
+    x + P_0j is a scaled add of permuted columns, and K- x I scales the
+    aux-up / aux-down column blocks.
+    """
     u = complex(u)
-    T, That = monodromy_matrices(u, params)
-    # K- x I is diagonal: scale the aux-up / aux-down column blocks of T.
-    d = params.dim
-    T[:, :d] *= params.p + u
-    T[:, d:] *= params.p - u
-    return T @ That
+    n, d = params.n_sites, params.dim
+    k = np.eye(2 * d, dtype=complex)
+    for j in range(1, n + 1):
+        k = (u - params.theta[j - 1]) * k + k[:, _aux_swap_columns(j, n)]
+    k[:, :d] *= params.p + u
+    k[:, d:] *= params.p - u
+    for j in range(n, 0, -1):
+        k = (u + params.theta[j - 1]) * k + k[:, _aux_swap_columns(j, n)]
+    return k
 
 
 def guard_half(u) -> complex:
@@ -243,16 +236,17 @@ def guard_half(u) -> complex:
     return u
 
 
+def split_entries(k: np.ndarray, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A, B, C and D - A/(2u+1): the aux blocks of ``k``, the last with its A part removed."""
+    d = k.shape[0] // 2
+    a = k[:d, :d]
+    return a, k[:d, d:], k[d:, :d], k[d:, d:] - a / (2 * u + 1)
+
+
 def entry_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Raw A, B, C, D blocks of the open monodromy (D with its A/(2u+1) part removed)."""
     u = guard_half(u)
-    d = params.dim
-    K = open_k_matrix(u, params)
-    a = K[:d, :d]
-    b = K[:d, d:]
-    c = K[d:, :d]
-    dd = K[d:, d:] - a / (2 * u + 1)
-    return a, b, c, dd
+    return split_entries(open_k_matrix(u, params), u)
 
 
 def transfer_matrix(u, params: ModelParams) -> np.ndarray:

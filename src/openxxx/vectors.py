@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import linalg, model, scalars
+from . import model, scalars
 from .errors import ContractionError, DegenerateBasisError, FrameUnavailableError
 from .model import ModelParams
 
@@ -90,10 +90,13 @@ class RotatedFrame:
 def rotated_k_matrix(u, params: ModelParams) -> np.ndarray:
     """scale * Q0^{-1} K0(u) Q0 on aux x chain."""
     frame = RotatedFrame.from_params(params).require()
-    eye = np.eye(params.dim, dtype=complex)
-    q0 = linalg.kron(frame.q_matrix, eye)
-    q0_inv = linalg.kron(frame.q_inverse, eye)
-    return frame.scale * (q0_inv @ model.open_k_matrix(u, params) @ q0)
+    k = model.open_k_matrix(u, params)
+    d = params.dim
+    # Q0 = Q x I only mixes the 2x2 aux blocks of K.
+    kbar = np.einsum(
+        "ac,cidj,db->aibj", frame.scale * frame.q_inverse, k.reshape(2, d, 2, d), frame.q_matrix
+    )
+    return kbar.reshape(2 * d, 2 * d)
 
 
 def rotated_entry_matrices(
@@ -105,13 +108,7 @@ def rotated_entry_matrices(
     unrotated entry split.
     """
     u = model.guard_half(u)
-    d = params.dim
-    kbar = rotated_k_matrix(u, params)
-    a = kbar[:d, :d]
-    b = kbar[:d, d:]
-    c = kbar[d:, :d]
-    dd = kbar[d:, d:] - a / (2 * u + 1)
-    return a, b, c, dd
+    return model.split_entries(rotated_k_matrix(u, params), u)
 
 
 def operator_tails(ops, vec) -> list[np.ndarray]:

@@ -718,9 +718,6 @@ class VerificationReport:
             c.verdict == "pass" for c in self.checks if c.gating and c.verdict != "skipped"
         )
 
-    def failed(self) -> list[CheckOutcome]:
-        return [c for c in self.checks if c.gating and c.verdict == "fail"]
-
     def by_name(self, name: str) -> list[CheckOutcome]:
         return [c for c in self.checks if c.name == name]
 

@@ -327,6 +327,59 @@ def test_cmd_sweep_theta_parameter(tmp_path):
         config.parse_config_dict(bad)
 
 
+@pytest.mark.parametrize(
+    "param, bad_value",
+    [("p", [0.0, 0.0]), ("xi_plus", [-1.0 / 1.1, 0.0])],  # p = 0; xi+ xi- = -1
+)
+def test_cmd_sweep_rejects_an_invalid_grid_point_up_front(tmp_path, capsys, param, bad_value):
+    doc = dict(BASE_DOC)
+    doc["model"] = {**BASE_DOC["model"], "xi_minus": [1.1, 0.0]}
+    doc["sweep"] = {"param": param, "grid": [[0.6, 0.1], bad_value]}
+    out = tmp_path / "sweep.json"
+    assert cli.main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 2
+    assert "sweep.grid[1]" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(ConfigError):
+        config.parse_config_dict(doc)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cmd_sweep_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    doc = {**BASE_DOC, "sweep": {"param": "xi_plus", "grid": [[0.6, 0.1]]}}
+    out = tmp_path / "sweep.json"
+    assert cli.main(
+        ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--jobs", jobs]
+    ) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cmd_sweep_starts_no_more_workers_than_grid_points(tmp_path, monkeypatch):
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    doc = {**BASE_DOC, "sweep": {"param": "xi_plus", "grid": [[0.6, 0.1], [0.9, 0.0]]}}
+    out = tmp_path / "sweep.json"
+    assert cli.main(
+        ["sweep", "--config", write_config(tmp_path, doc), "--out", str(out), "--jobs", "64"]
+    ) == 0
+    assert workers == [2]
+    assert len(json.loads(out.read_text())["rows"]) == 2
+
+
 # xi_plus values with a positive real part keep xi+ xi- clear of the -1 degeneracy.
 _XI_PLUS_POINT = st.tuples(st.floats(0.2, 1.5), st.floats(-0.3, 0.3)).map(list)
 

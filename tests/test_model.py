@@ -108,25 +108,30 @@ def test_scalar_reflection_equation(params_n1, rng):
 
 # --- monodromies and the open monodromy ---------------------------------------------
 
-def test_monodromy_single_site_homogeneous():
-    p = ModelParams.create([0.0], P_VAL, Q_VAL, XI_PLUS, XI_MINUS)
-    u = 0.43 - 0.21j
-    T, That = model.monodromy_matrices(u, p)
-    assert np.allclose(T, model.r_matrix(u), atol=1e-14)
-    assert np.allclose(That, T, atol=1e-14)
+def explicit_open_k(u, params):
+    """R_01...R_0N (K- x I) R_0N...R_01 as dense products of embedded factors."""
+    n = params.n_sites
+    r_factors = [
+        [linalg.embed_factors(model.r_matrix(u + sign * params.theta[j - 1]), (0, j), n + 1)
+         for j in range(1, n + 1)]
+        for sign in (-1, 1)
+    ]
+    k = linalg.embed_factors(model.k_minus_matrix(u, params), (0,), n + 1)
+    for r in reversed(r_factors[0]):
+        k = r @ k
+    for r in reversed(r_factors[1]):
+        k = k @ r
+    return k
 
 
-def test_monodromy_entries_polynomial_degree(params_n2):
-    # fit each of a few entries through N+2 points; a degree-N polynomial
-    # must reproduce a held-out point
-    n = params_n2.n_sites
-    pts = [0.3, -0.7, 1.1, 0.9j][: n + 2]
-    extra = -1.3 + 0.4j
-    for which in ((0, 0), (1, 2), (3, 3)):
-        vals = [model.monodromy_matrices(u, params_n2)[0][which] for u in pts]
-        coeff = np.polynomial.polynomial.polyfit(np.array(pts, complex), np.array(vals), n)
-        got = model.monodromy_matrices(extra, params_n2)[0][which]
-        assert abs(np.polynomial.polynomial.polyval(extra, coeff) - got) < 1e-9 * max(1, abs(got))
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_open_k_matches_explicit_r_product(n_sites, rng):
+    params = make_params(n_sites)
+    for _ in range(3):
+        u = complex(*rng.uniform(-1.5, 1.5, 2))
+        expected = explicit_open_k(u, params)
+        got = model.open_k_matrix(u, params)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
 
 
 def test_open_k_at_zero_homogeneous():

@@ -58,6 +58,20 @@ def test_frame_diagonalizes_k_plus(params_n2, rng):
         assert np.allclose(lhs, frame.d_plus(u, params_n2), atol=1e-12 * np.abs(kp).max())
 
 
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_rotated_k_matches_kron_conjugation(n_sites, rng):
+    params = make_params(n_sites)
+    frame = vectors.RotatedFrame.from_params(params)
+    eye = np.eye(params.dim, dtype=complex)
+    q0 = linalg.kron(frame.q_matrix, eye)
+    q0_inv = linalg.kron(frame.q_inverse, eye)
+    for _ in range(3):
+        u = complex(*rng.uniform(-1.5, 1.5, 2))
+        expected = frame.scale * (q0_inv @ model.open_k_matrix(u, params) @ q0)
+        got = vectors.rotated_k_matrix(u, params)
+        assert np.linalg.norm(got - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
 def test_frame_unavailable_cases():
     tri = ModelParams.create([0.1], 1.5, 0.7, xi_plus=0.8, xi_minus=0.0)
     frame = vectors.RotatedFrame.from_params(tri)
