@@ -2,7 +2,8 @@
 
 All behavior flows from a JSON config file plus the documented flags; no
 environment variables.  Exit codes: 0 success, 1 gating check failure,
-2 config error, 3 internal error.
+2 config error, 3 internal error.  Only the report goes to stdout; progress
+and summary lines go to stderr.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from pathlib import Path
 
 from . import bethe, config as config_mod, verify
 from .config import RunConfig, from_complex, model_to_dict, parse_config
 from .errors import ConfigError
 from .model import ModelParams
-
-log = logging.getLogger(__name__)
 
 
 def _finite_or_none(x):
@@ -29,14 +27,6 @@ def _finite_or_none(x):
         return None
     x = float(x)
     return x if abs(x) != float("inf") and x == x else None
-
-
-def _write_json(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2)
-    if out_path:
-        Path(out_path).write_text(text + "\n")
-    else:
-        print(text)
 
 
 def _fmt_cell(value) -> str:
@@ -49,68 +39,53 @@ def _fmt_cell(value) -> str:
     return str(value)
 
 
-def _write_csv(header, rows, out_path: str | None) -> None:
-    target = open(out_path, "w", newline="") if out_path else sys.stdout
+def _csv_rows(records, header) -> list:
+    """One CSV row per payload record, its values read by the header's field names."""
+    return [[record[name] for name in header] for record in records]
+
+
+def _write(payload: dict, header, rows, cfg: RunConfig) -> None:
+    """Write the report in the config's format to its output path, or to stdout."""
+    target = open(cfg.output_path, "w", newline="") if cfg.output_path else sys.stdout
     try:
-        writer = csv.writer(target)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        if cfg.format == "csv":
+            writer = csv.writer(target)
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt_cell(v) for v in row])
+        else:
+            target.write(json.dumps(payload, indent=2) + "\n")
     finally:
-        if out_path:
+        if cfg.output_path:
             target.close()
 
 
-def _load(config_path: str | None, seed: int | None, fmt: str | None, out: str | None) -> RunConfig:
-    cfg = parse_config(config_path) if config_path else config_mod.default_config()
-    if seed is not None:
+def _load(args: argparse.Namespace) -> RunConfig:
+    cfg = parse_config(args.config) if args.config else config_mod.default_config()
+    if args.seed is not None:
         try:
-            cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=seed))
+            cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, seed=args.seed))
         except ValueError as exc:
             raise ConfigError(f"--seed: {exc}") from exc
-    if fmt is not None:
-        cfg = dataclasses.replace(cfg, format=fmt)
-    if out is not None:
-        cfg = dataclasses.replace(cfg, output_path=out)
+    if args.format is not None:
+        cfg = dataclasses.replace(cfg, format=args.format)
+    if args.out is not None:
+        cfg = dataclasses.replace(cfg, output_path=args.out)
     if cfg.checks != "all":
         unknown = [c for c in cfg.checks if c not in verify.registry()]
         if unknown:
             raise ConfigError(f"checks: unknown check names {unknown}")
+    if args.command == "sweep":
+        if cfg.sweep is None:
+            raise ConfigError("sweep command requires a sweep section in the config")
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs: expected a positive integer, got {args.jobs}")
     return cfg
 
 
-# --- verify ------------------------------------------------------------------------
+# --- commands: each returns (payload, csv_header, csv_rows, summary, exit_code) -------
 
-def _verify_payload(report: verify.VerificationReport) -> dict:
-    return {
-        "command": "verify",
-        "seed": report.seed,
-        "params": model_to_dict(report.params),
-        "all_pass": report.all_pass,
-        "checks": [
-            {
-                "name": c.name,
-                "n_sites": c.n_sites,
-                "n_samples": c.n_samples,
-                "residual": _finite_or_none(c.residual),
-                "tol": c.tol,
-                "verdict": c.verdict,
-                "gating": c.gating,
-                "wall_time": c.wall_time,
-                "reason": c.reason,
-            }
-            for c in report.checks
-        ],
-    }
-
-
-def cmd_verify(config_path: str | None, out: str | None = None, fmt: str | None = None,
-               seed: int | None = None) -> int:
-    try:
-        cfg = _load(config_path, seed, fmt, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_verify(cfg: RunConfig):
     report = verify.run_suite(
         cfg.model,
         checks=cfg.checks,
@@ -122,44 +97,24 @@ def cmd_verify(config_path: str | None, out: str | None = None, fmt: str | None 
         residual = "" if c.residual is None else f" residual={c.residual:.3e} tol={c.tol:.1e}"
         extra = "" if c.gating else " [experimental]"
         reason = f" ({c.reason})" if c.reason else ""
-        print(f"{c.verdict:>7}  {c.name}[N={c.n_sites}]{residual}{extra}{reason}")
-    payload = _verify_payload(report)
-    if cfg.format == "csv":
-        rows = [
-            (c["name"], c["n_sites"], c["n_samples"], c["residual"], c["tol"],
-             c["verdict"], c["gating"], c["wall_time"], c["reason"])
-            for c in payload["checks"]
-        ]
-        _write_csv(
-            ("name", "n_sites", "n_samples", "residual", "tol", "verdict", "gating",
-             "wall_time", "reason"),
-            rows,
-            cfg.output_path,
-        )
-    else:
-        _write_json(payload, cfg.output_path)
-    print(f"suite: {'pass' if report.all_pass else 'FAIL'}")
-    return 0 if report.all_pass else 1
-
-
-# --- solve --------------------------------------------------------------------------
-
-def _root_set_payload(rs) -> dict:
-    return {
-        "roots": [from_complex(r) for r in rs.roots],
-        "residual_norm": rs.residual_norm,
-        "source": rs.source,
-        "signature": [from_complex(s) for s in rs.signature],
+        print(f"{c.verdict:>7}  {c.name}[N={c.n_sites}]{residual}{extra}{reason}", file=sys.stderr)
+    payload = {
+        "command": "verify",
+        "seed": report.seed,
+        "params": model_to_dict(report.params),
+        "all_pass": report.all_pass,
+        "checks": [
+            {**dataclasses.asdict(c), "residual": _finite_or_none(c.residual)}
+            for c in report.checks
+        ],
     }
+    header = [f.name for f in dataclasses.fields(verify.CheckOutcome)]
+    summary = f"suite: {'pass' if report.all_pass else 'FAIL'}"
+    code = 0 if report.all_pass else 1
+    return payload, header, _csv_rows(payload["checks"], header), summary, code
 
 
-def cmd_solve(config_path: str | None, out: str | None = None, fmt: str | None = None,
-              seed: int | None = None) -> int:
-    try:
-        cfg = _load(config_path, seed, fmt, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+def cmd_solve(cfg: RunConfig):
     stats: dict = {}
     sets = bethe.solve_bethe(cfg.model, cfg.solver, stats=stats)
     if not sets:
@@ -174,31 +129,35 @@ def cmd_solve(config_path: str | None, out: str | None = None, fmt: str | None =
         "n_roots": cfg.model.n_sites,
         "count": len(sets),
         "solver_stats": stats,
-        "root_sets": [_root_set_payload(rs) for rs in sets],
+        "root_sets": [
+            {
+                "roots": [from_complex(r) for r in rs.roots],
+                "residual_norm": rs.residual_norm,
+                "source": rs.source,
+                "signature": [from_complex(s) for s in rs.signature],
+            }
+            for rs in sets
+        ],
     }
-    if cfg.format == "csv":
-        rows = [
-            (i, k, r.real, r.imag, rs.residual_norm)
-            for i, rs in enumerate(sets)
-            for k, r in enumerate(rs.roots)
-        ]
-        _write_csv(
-            ("set_index", "root_index", "root_re", "root_im", "residual_norm"),
-            rows,
-            cfg.output_path,
-        )
-    else:
-        _write_json(payload, cfg.output_path)
-    print(f"solve: {len(sets)} inequivalent root sets")
-    return 0
+    header = ("set_index", "root_index", "root_re", "root_im", "residual_norm")
+    rows = [
+        (i, k, r.real, r.imag, rs.residual_norm)
+        for i, rs in enumerate(sets)
+        for k, r in enumerate(rs.roots)
+    ]
+    return payload, header, rows, f"solve: {len(sets)} inequivalent root sets", 0
 
 
-# --- spectrum ------------------------------------------------------------------------
-
-def _coverage_payload(cover, cfg: RunConfig) -> dict:
-    curves = []
-    for m in cover.matches:
-        curves.append(
+def cmd_spectrum(cfg: RunConfig):
+    cover = bethe.cover_spectrum(cfg.model, cfg.solver, match_tol=cfg.spectrum.match_tol)
+    payload = {
+        "command": "spectrum",
+        "seed": cfg.solver.seed,
+        "params": model_to_dict(cfg.model),
+        "mode": cover.mode,
+        "matched_count": cover.matched_count,
+        "unmatched_count": cover.unmatched_count,
+        "curves": [
             {
                 "curve_id": m.curve_id,
                 "degree": m.curve.degree,
@@ -211,55 +170,19 @@ def _coverage_payload(cover, cfg: RunConfig) -> dict:
                     [from_complex(s) for s in m.matched_roots.signature] if m.matched else None
                 ),
             }
-        )
-    return {
-        "command": "spectrum",
-        "seed": cfg.solver.seed,
-        "params": model_to_dict(cfg.model),
-        "mode": cover.mode,
-        "matched_count": cover.matched_count,
-        "unmatched_count": cover.unmatched_count,
-        "curves": curves,
+            for m in cover.matches
+        ],
     }
-
-
-def _run_coverage(cfg: RunConfig):
-    return bethe.cover_spectrum(cfg.model, cfg.solver, match_tol=cfg.spectrum.match_tol)
-
-
-def cmd_spectrum(config_path: str | None, out: str | None = None, fmt: str | None = None,
-                 seed: int | None = None) -> int:
-    try:
-        cfg = _load(config_path, seed, fmt, out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    cover = _run_coverage(cfg)
-    payload = _coverage_payload(cover, cfg)
-    if cfg.format == "csv":
-        rows = [
-            (c["curve_id"], c["matched"], c["excitations"], c["match_error"],
-             c["eigen_residual"])
-            for c in payload["curves"]
-        ]
-        _write_csv(
-            ("curve_id", "matched", "excitations", "match_error", "eigen_residual"),
-            rows,
-            cfg.output_path,
-        )
-    else:
-        _write_json(payload, cfg.output_path)
-    print(
+    header = ("curve_id", "matched", "excitations", "match_error", "eigen_residual")
+    summary = (
         f"spectrum: {cover.matched_count}/{len(cover.matches)} curves matched "
         f"({cover.mode} mode)"
     )
-    return 0
+    return payload, header, _csv_rows(payload["curves"], header), summary, 0
 
-
-# --- sweep ---------------------------------------------------------------------------
 
 def _sweep_point(cfg: RunConfig, value: complex, point: ModelParams) -> dict:
-    cover = _run_coverage(dataclasses.replace(cfg, model=point))
+    cover = bethe.cover_spectrum(point, cfg.solver, match_tol=cfg.spectrum.match_tol)
     return {
         "param": cfg.sweep.param,
         "value": from_complex(value),
@@ -270,48 +193,31 @@ def _sweep_point(cfg: RunConfig, value: complex, point: ModelParams) -> dict:
     }
 
 
-def cmd_sweep(config_path: str | None, out: str | None = None, fmt: str | None = None,
-              seed: int | None = None, jobs: int = 1) -> int:
+def cmd_sweep(cfg: RunConfig, jobs: int):
     """Run the spectrum match over the config's sweep grid."""
-    try:
-        cfg = _load(config_path, seed, fmt, out)
-        if cfg.sweep is None:
-            raise ConfigError("sweep command requires a sweep section in the config")
-        if jobs < 1:
-            raise ConfigError(f"--jobs: expected a positive integer, got {jobs}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     grid, models = cfg.sweep.grid, cfg.sweep.models
     if jobs > 1:
         # with the fork start method the pool starts all its workers at once
         with ProcessPoolExecutor(max_workers=min(jobs, len(grid))) as pool:
-            rows = list(pool.map(_sweep_point, [cfg] * len(grid), grid, models))
+            points = list(pool.map(_sweep_point, [cfg] * len(grid), grid, models))
     else:
-        rows = [_sweep_point(cfg, v, m) for v, m in zip(grid, models)]
+        points = [_sweep_point(cfg, v, m) for v, m in zip(grid, models)]
     payload = {
         "command": "sweep",
         "seed": cfg.solver.seed,
         "param": cfg.sweep.param,
-        "rows": rows,
+        "rows": points,
     }
-    if cfg.format == "csv":
-        csv_rows = [
-            (r["param"], r["value"][0], r["value"][1], r["matched_count"],
-             r["unmatched_count"], r["max_match_error"], r["max_eigen_residual"])
-            for r in rows
-        ]
-        _write_csv(
-            ("param", "value_re", "value_im", "matched", "unmatched",
-             "max_match_error", "max_eigen_residual"),
-            csv_rows,
-            cfg.output_path,
-        )
-    else:
-        _write_json(payload, cfg.output_path)
-    total = sum(r["matched_count"] for r in rows)
-    print(f"sweep: {len(rows)} points, {total} curves matched in total")
-    return 0
+    header = ("param", "value_re", "value_im", "matched", "unmatched",
+              "max_match_error", "max_eigen_residual")
+    rows = [
+        (r["param"], r["value"][0], r["value"][1], r["matched_count"],
+         r["unmatched_count"], r["max_match_error"], r["max_eigen_residual"])
+        for r in points
+    ]
+    total = sum(r["matched_count"] for r in points)
+    summary = f"sweep: {len(points)} points, {total} curves matched in total"
+    return payload, header, rows, summary, 0
 
 
 # --- entry point -----------------------------------------------------------------------
@@ -342,19 +248,24 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    commands = {
+        "verify": cmd_verify,
+        "solve": cmd_solve,
+        "spectrum": cmd_spectrum,
+        "sweep": lambda cfg: cmd_sweep(cfg, args.jobs),
+    }
     try:
-        if args.command == "verify":
-            return cmd_verify(args.config, args.out, args.format, args.seed)
-        if args.command == "solve":
-            return cmd_solve(args.config, args.out, args.format, args.seed)
-        if args.command == "spectrum":
-            return cmd_spectrum(args.config, args.out, args.format, args.seed)
-        if args.command == "sweep":
-            return cmd_sweep(args.config, args.out, args.format, args.seed, jobs=args.jobs)
+        cfg = _load(args)
+        payload, header, rows, summary, code = commands[args.command](cfg)
+        _write(payload, header, rows, cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # a named package error or anything unexpected
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    return 2
+    print(summary, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

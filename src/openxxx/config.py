@@ -209,9 +209,9 @@ def parse_config_dict(doc: dict) -> RunConfig:
     _require_keys(doc, allowed, "config")
     checks = doc.get("checks", "all")
     if checks != "all" and (
-        not isinstance(checks, list) or not all(isinstance(c, str) for c in checks)
+        not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks)
     ):
-        raise ConfigError('checks: expected "all" or a list of check names')
+        raise ConfigError('checks: expected "all" or a non-empty list of check names')
     fmt = doc.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format: expected json|csv, got {fmt!r}")

@@ -47,22 +47,20 @@ class RotatedFrame:
     det(Q)/xi_minus^2, the prefactor relating the conjugated open monodromy
     to the rotated generators.  The frame only exists when Q is invertible,
     i.e. xi+ xi- is neither 0 (diagonal/triangular cases) nor -1 (degenerate
-    square root).
+    square root); ``from_params`` raises ``FrameUnavailableError`` otherwise.
     """
 
-    q_matrix: np.ndarray | None
-    q_inverse: np.ndarray | None
+    q_matrix: np.ndarray
+    q_inverse: np.ndarray
     scale: complex
-    available: bool
-    reason: str | None
 
     @classmethod
     def from_params(cls, params: ModelParams) -> "RotatedFrame":
         if params.xi_minus == 0:
-            return cls(None, None, 0.0, False, "xi_minus = 0: rotation matrix is singular")
+            raise FrameUnavailableError("xi_minus = 0: rotation matrix is singular")
         det = params.xi_plus * params.xi_minus + params.rho ** 2
         if abs(det) < 1e-12 * max(1.0, abs(params.xi_plus * params.xi_minus)):
-            return cls(None, None, 0.0, False, "xi+ xi- + rho^2 = 0: rotation matrix is singular")
+            raise FrameUnavailableError("xi+ xi- + rho^2 = 0: rotation matrix is singular")
         q = np.array(
             [[params.xi_plus, params.rho], [-params.rho, params.xi_minus]], dtype=complex
         )
@@ -70,15 +68,10 @@ class RotatedFrame:
             [[params.xi_minus, -params.rho], [params.rho, params.xi_plus]], dtype=complex
         ) / det
         scale = det / params.xi_minus ** 2
-        frame = cls(q, q_inv, complex(scale), True, None)
+        frame = cls(q, q_inv, complex(scale))
         q.flags.writeable = False
         q_inv.flags.writeable = False
         return frame
-
-    def require(self) -> "RotatedFrame":
-        if not self.available:
-            raise FrameUnavailableError(self.reason or "rotated frame unavailable")
-        return self
 
     def d_plus(self, u, params: ModelParams) -> np.ndarray:
         """Diagonalized left boundary: diag(q +- (u+1)(1-rho))."""
@@ -89,7 +82,7 @@ class RotatedFrame:
 
 def rotated_k_matrix(u, params: ModelParams) -> np.ndarray:
     """scale * Q0^{-1} K0(u) Q0 on aux x chain."""
-    frame = RotatedFrame.from_params(params).require()
+    frame = RotatedFrame.from_params(params)
     k = model.open_k_matrix(u, params)
     d = params.dim
     # Q0 = Q x I only mixes the 2x2 aux blocks of K.

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import bethe, linalg, model, scalars, vectors
 from .bethe import SolverConfig
-from .errors import OpenXXXError
+from .errors import FrameUnavailableError, OpenXXXError
 from .model import ModelParams
 
 log = logging.getLogger(__name__)
@@ -300,10 +300,10 @@ def _exchange_cb(ctx: CheckContext) -> Iterator[float]:
 # --- rotated frame ------------------------------------------------------------------
 
 def _require_frame(ctx: CheckContext) -> vectors.RotatedFrame:
-    frame = vectors.RotatedFrame.from_params(ctx.params)
-    if not frame.available:
-        raise SkipCheck(frame.reason)
-    return frame
+    try:
+        return vectors.RotatedFrame.from_params(ctx.params)
+    except FrameUnavailableError as exc:
+        raise SkipCheck(str(exc)) from exc
 
 
 @_check("rotated.k_plus_diagonalization", sites=(1,), tol=1e-12)

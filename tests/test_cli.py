@@ -109,8 +109,7 @@ def test_cmd_verify_fast_checks(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert report["all_pass"] is True
     assert {c["verdict"] for c in report["checks"]} == {"pass"}
-    shown = capsys.readouterr().out
-    assert "suite: pass" in shown
+    assert "suite: pass" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -150,19 +149,27 @@ def test_cmd_verify_contains_a_named_error_to_its_check(tmp_path):
     assert w_n2["reason"].startswith("DegenerateBasisError: ")
 
 
-def test_cmd_verify_missing_config(tmp_path):
-    assert cli.cmd_verify(str(tmp_path / "absent.json")) == 2
+@pytest.mark.parametrize("config_text", [None, "{not json"], ids=["missing", "not_json"])
+@pytest.mark.parametrize("command", ["verify", "solve", "spectrum", "sweep"])
+def test_unreadable_config_exits_2(tmp_path, capsys, command, config_text):
+    path = tmp_path / "config.json"
+    if config_text is not None:
+        path.write_text(config_text)
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err
+    assert captured.out == ""
 
 
 def test_cmd_verify_degenerate_config(tmp_path):
     doc = dict(BASE_DOC)
     doc["model"] = dict(doc["model"], xi_plus=[1.0, 0.0], xi_minus=[-1.0, 0.0])
-    assert cli.cmd_verify(write_config(tmp_path, doc)) == 2
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
 
 
 def test_cmd_verify_unknown_check(tmp_path):
     doc = {**BASE_DOC, "checks": ["nope"]}
-    assert cli.cmd_verify(write_config(tmp_path, doc)) == 2
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
 
 
 @pytest.mark.parametrize("patch", [
@@ -170,6 +177,7 @@ def test_cmd_verify_unknown_check(tmp_path):
     {"solver": {"max_iter": -3}},
     {"n_samples": 0},
     {"solver": {"damping": 1.0}},  # no longer a key, even at its old default
+    {"checks": []},  # would pass on zero evaluated checks
 ])
 def test_cmd_verify_rejects_invalid_solver_and_sample_settings(tmp_path, capsys, patch):
     doc = {**BASE_DOC, "checks": FAST_CHECKS[:1], **patch}

@@ -38,8 +38,6 @@ def test_b_bar_commutes(params_n3, rng):
 
 def test_b_bar_matches_conjugated_block(params_n2):
     u = 0.53 - 0.34j
-    frame = vectors.RotatedFrame.from_params(params_n2)
-    assert frame.available
     kbar = vectors.rotated_k_matrix(u, params_n2)
     d = params_n2.dim
     assert np.allclose(
@@ -74,14 +72,13 @@ def test_rotated_k_matches_kron_conjugation(n_sites, rng):
 
 def test_frame_unavailable_cases():
     tri = ModelParams.create([0.1], 1.5, 0.7, xi_plus=0.8, xi_minus=0.0)
-    frame = vectors.RotatedFrame.from_params(tri)
-    assert not frame.available and "xi_minus" in frame.reason
-    with pytest.raises(FrameUnavailableError):
-        frame.require()
+    with pytest.raises(FrameUnavailableError, match="xi_minus"):
+        vectors.RotatedFrame.from_params(tri)
     with pytest.raises(FrameUnavailableError):
         vectors.rotated_entry_matrices(0.3, tri)
     lower = ModelParams.create([0.1], 1.5, 0.7, xi_plus=0.0, xi_minus=0.8)
-    assert not vectors.RotatedFrame.from_params(lower).available
+    with pytest.raises(FrameUnavailableError, match="rho\\^2"):
+        vectors.RotatedFrame.from_params(lower)
 
 
 def test_rotated_vacuum_actions(params_n2):
