@@ -15,15 +15,16 @@ pole and degeneracy guards, and deduplicated by their eigenvalue signature.
 Completeness works curve first.  The eigenvalue curves of t(u) come from one
 eigenbasis of the commuting family sampled on a circle, the Bethe roots of
 each curve from the linear T-Q relation with one Newton polish.  Each curve
-is matched to the best of the certified sets solved from it, so a curve
-whose own sets do not reproduce it is reported unmatched.  The same t(u)
-samples give each matched curve's eigen-residual.
+is matched to the certified set solved from it with the smallest T-Q
+residual, so a curve that none of its own sets satisfies is unmatched.
+The same t(u) samples give each matched curve's eigen-residual.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,12 +38,6 @@ log = logging.getLogger(__name__)
 # Spectral circle on which the dense spectrum is sampled: a generic center
 # keeps the path clear of real-axis symmetry-induced eigenvalue collisions.
 CURVE_CENTER = 0.11 + 0.23j
-
-# Probe pool for curve-vs-roots matching (distinct from signature probes).
-MATCH_PROBES = (
-    0.52 + 0.41j, -0.37 + 0.93j, 1.42 - 0.27j, -1.13 - 0.62j, 0.91 + 1.21j,
-    2.02 + 0.33j, -2.21 + 0.48j, 0.18 - 1.33j, 1.7 + 0.9j, -0.66 - 1.71j,
-) + scalars.FALLBACK_PROBES
 
 # Solver driver: the central-difference step (relative to 1 + |lambda|), the
 # Newton step fraction tried first, the rungs of the halving ladder, and the
@@ -378,6 +373,22 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     return [Eigencurve(_in_u(diag[:, i], radius)) for i in range(params.dim)], points, samples
 
 
+@lru_cache(maxsize=16)
+def _tq_points(params: ModelParams):
+    """The T-Q fit points u and the kernel's addends A, D, R at no roots there.
+
+    The 4N+8 points lie on the curve circle, half a step off its roots of
+    unity; points at a pole are dropped.  They depend on the model alone.
+    """
+    n_pts = 4 * params.n_sites + 8
+    phases = np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+    u = CURVE_CENTER + _curve_radius(params) * phases
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, d, r = scalars.lambda_terms(u, (), params, params.rho)
+    keep = np.isfinite(a) & np.isfinite(d) & np.isfinite(r)
+    return u[keep], a[keep], d[keep], r[keep]
+
+
 def curve_roots(
     curve: Eigencurve, params: ModelParams, m: int, cfg: SolverConfig
 ) -> list[BetheRootSet]:
@@ -385,21 +396,17 @@ def curve_roots(
 
     With Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1), the kernel's addends
     at no roots, A, D and R, give the T-Q relation
-    Lambda(u) Q(u) = A(u) Q(u-1) + D(u) Q(u+1) + R(u).  It is linear in the
+    c(u) Q(u) = A(u) Q(u-1) + D(u) Q(u+1) + R(u).  It is linear in the
     coefficients of Q, a monic polynomial of degree m in w = u(u+1), so they
-    follow by least squares at 4N+8 points (rows at a pole are dropped).  The
-    roots of Q in w give lambda = (-1 + sqrt(1 + 4w))/2, which one Newton
-    polish on BE_k and the usual certification turn into root sets; an
-    empty list means the curve has no such set.  ``m = 0`` gives the empty
-    set.
+    follow by least squares at the points of ``_tq_points`` (rows that are
+    not finite are dropped).  The roots of Q in w give lambda = (-1 + sqrt(1 +
+    4w))/2, which one Newton polish on BE_k and the usual certification turn
+    into root sets; an empty list means the curve has no such set.  ``m = 0``
+    gives the empty set.
     """
     if m == 0:
         return [_vacuum_set(params)]
-    n_pts = 4 * params.n_sites + 8
-    phases = np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
-    u = CURVE_CENTER + _curve_radius(params) * phases
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        a, d, r = scalars.lambda_terms(u, (), params, params.rho)
+    u, a, d, r = _tq_points(params)
     powers = np.arange(m + 1)
     rows = (
         (curve(u) * (u * (u + 1)) ** powers[:, None])
@@ -416,11 +423,31 @@ def curve_roots(
     return _certify(lam[merit <= cfg.tol], params, cfg.tol)
 
 
+def _tq_errors(curve: Eigencurve, sets, params: ModelParams) -> np.ndarray:
+    """Each set's T-Q residual against ``curve`` at the points of ``_tq_points``.
+
+    max_k |c Q(u) - A Q(u-1) - D Q(u+1) - R| / max(|c Q(u)|, |A Q(u-1)|,
+    |D Q(u+1)|, |R|), with Q from the set's roots (Q = 1 for no roots).
+    Nothing is divided by Q, so no point has to avoid a root.
+    """
+    u, a, d, r = _tq_points(params)
+    shifted = u + np.array([0.0, -1.0, 1.0])[:, None]
+    errs = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        cad = np.array([curve(u), a, d])
+        for rs in sets:
+            lam = np.array(rs.roots, dtype=complex)[:, None, None]
+            terms = cad * np.prod((shifted - lam) * (shifted + lam + 1), axis=0)
+            resid = np.abs(terms[0] - terms[1] - terms[2] - r)
+            errs.append(np.max(resid / np.maximum(np.abs(terms).max(axis=0), np.abs(r))))
+    return np.array(errs)
+
+
 # --- matching --------------------------------------------------------------------
 
 @dataclass(frozen=True, slots=True)
 class SpectrumMatch:
-    """Outcome of matching one eigencurve against the root sets solved from it."""
+    """One eigencurve's match: ``match_error`` is its best own set's T-Q residual."""
 
     curve_id: int
     curve: Eigencurve
@@ -492,10 +519,10 @@ def cover_spectrum(
     For a genuinely off-diagonal left boundary (rho != 0) every curve has N
     roots; when rho = 0 the low-excitation curves have no finite
     representation with N roots, so every diagonal sector M = 0..N is tried
-    for each curve instead.  A set's match error is the worst relative
-    |Lambda - c| at 6 probes of ``MATCH_PROBES`` clear of the poles of the
-    curve's sets; the curve is matched to its best set when that is within
-    ``match_tol``, and otherwise reports the best error (inf without sets).
+    for each curve instead.  A set's match error is its T-Q residual against
+    the curve at the fit points (``_tq_errors``); the curve is matched to its
+    best set when that is within ``match_tol``, and otherwise reports the
+    best error (inf without sets).
     A set that reproduces no curve is dropped.  A matched curve's
     eigen-residual tests its Bethe vector against the t(u) samples the
     curves came from.
@@ -510,11 +537,7 @@ def cover_spectrum(
         sets = [rs for m in orders for rs in curve_roots(curve, params, m, cfg)]
         best, err = None, np.inf
         if sets:
-            probes = scalars.select_signature_probes(sets, 6, MATCH_PROBES)
-            table = np.array([[scalars.eigenvalue_Lambda(pt, rs, params) for pt in probes]
-                              for rs in sets])
-            cv = curve(np.array(probes))
-            errs = (np.abs(table - cv) / np.maximum(1.0, np.abs(cv))).max(axis=1)
+            errs = _tq_errors(curve, sets, params)
             best = int(np.argmin(errs))
             err = float(errs[best])
         if err <= match_tol:

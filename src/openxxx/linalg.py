@@ -3,6 +3,7 @@
 Everything is plain ``numpy`` on ``complex128``; operators are immutable by
 convention (builders return fresh arrays) and every function here is pure.
 The auxiliary space, when present, is always the leftmost tensor factor.
+Other factor orders come from ``kron`` and the swap P: R13 = P23 R12 P23.
 """
 
 from __future__ import annotations
@@ -43,41 +44,6 @@ def embed_site(op2, site: int, n_sites: int) -> np.ndarray:
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n_sites - site), dtype=complex)
     return kron(kron(left, op2), right)
-
-
-def reorder_factors(m, src_order) -> np.ndarray:
-    """Permute the two-level tensor factors of a square matrix.
-
-    ``src_order[i]`` names the logical factor currently sitting at position
-    ``i``; the result has factors in natural order ``0..n-1``.
-    """
-    m = as_matrix(m)
-    n = len(src_order)
-    if m.shape != (2 ** n, 2 ** n):
-        raise DimensionError(f"matrix shape {m.shape} does not match {n} factors")
-    if sorted(src_order) != list(range(n)):
-        raise DimensionError(f"src_order {src_order!r} is not a permutation")
-    axes = [list(src_order).index(k) for k in range(n)]
-    t = m.reshape((2,) * (2 * n))
-    t = t.transpose(axes + [a + n for a in axes])
-    return np.ascontiguousarray(t.reshape(2 ** n, 2 ** n))
-
-
-def embed_factors(op, positions, n_factors: int) -> np.ndarray:
-    """Embed ``op`` acting on the listed factors (in that order) into ``n_factors``.
-
-    Covers two-site R-matrix embeddings as well as placing an aux+chain
-    operator inside a larger aux1 x aux2 x chain space.
-    """
-    op = as_matrix(op)
-    k = len(positions)
-    if op.shape != (2 ** k, 2 ** k):
-        raise DimensionError(f"operator shape {op.shape} does not match {k} factors")
-    if len(set(positions)) != k or not all(0 <= p < n_factors for p in positions):
-        raise DimensionError(f"invalid factor positions {positions!r}")
-    rest = [f for f in range(n_factors) if f not in positions]
-    big = kron(op, np.eye(2 ** (n_factors - k), dtype=complex))
-    return reorder_factors(big, list(positions) + rest)
 
 
 def frobenius(a) -> float:

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import mul
 
 from .errors import ParameterError, PoleError
 from .model import POLE_EPS, ModelParams
@@ -107,104 +109,50 @@ def delta_bar_diag(u, params: ModelParams) -> complex:
     return _delta_bar(complex(u), params, 0.0)
 
 
+def _guarded_ratio(numerator, factors) -> complex:
+    """``numerator`` over the product of the (value, label) ``factors``, guarded in order."""
+    return numerator / reduce(mul, [_guard(value, label) for value, label in factors])
+
+
 def F_factor(u, lam) -> complex:
     """Off-shell coefficient F(u, lambda) = (u+1)/((u+lambda+1)(lambda-u)(lambda+1))."""
     u, lam = complex(u), complex(lam)
-    _guard(u + lam + 1, "u+lambda+1")
-    _guard(lam - u, "lambda-u")
-    _guard(lam + 1, "lambda+1")
-    return (u + 1) / ((u + lam + 1) * (lam - u) * (lam + 1))
+    return _guarded_ratio(
+        u + 1, ((u + lam + 1, "u+lambda+1"), (lam - u, "lambda-u"), (lam + 1, "lambda+1"))
+    )
 
 
 # --- Appendix structure functions -------------------------------------------
-# The last two are named q_f, p_f to avoid colliding with the boundary
-# strengths p and q.
-
-def _f(u, v):
-    _guard(u - v, "u-v")
-    _guard(u + v + 1, "u+v+1")
-    return (u - v - 1) * (u + v) / ((u - v) * (u + v + 1))
-
-
-def _h(u, v):
-    _guard(u - v, "u-v")
-    _guard(u + v + 1, "u+v+1")
-    return (u - v + 1) * (u + v + 2) / ((u - v) * (u + v + 1))
-
-
-def _w(u, v):
-    _guard(u + v + 1, "u+v+1")
-    return -1 / (u + v + 1)
-
-
-def _g(u, v):
-    _guard(2 * v + 1, "2v+1")
-    _guard(u - v, "u-v")
-    return 2 * v / ((2 * v + 1) * (u - v))
-
-
-def _k(u, v):
-    _guard(u - v, "u-v")
-    _guard(2 * u + 1, "2u+1")
-    return -2 * (u + 1) / ((u - v) * (2 * u + 1))
-
-
-def _n(u, v):
-    _guard(u + v + 1, "u+v+1")
-    _guard(2 * v + 1, "2v+1")
-    _guard(2 * u + 1, "2u+1")
-    return 4 * v * (u + 1) / ((u + v + 1) * (2 * v + 1) * (2 * u + 1))
-
-
-def _m(u, v):
-    _guard(2 * u + 1, "2u+1")
-    _guard(u + v + 1, "u+v+1")
-    _guard(u - v, "u-v")
-    return 2 * u * (u - v + 1) / ((2 * u + 1) * (u + v + 1) * (u - v))
-
-
-def _l(u, v):
-    _guard(2 * u + 1, "2u+1")
-    _guard(2 * v + 1, "2v+1")
-    _guard(u - v, "u-v")
-    return -2 * u / ((2 * u + 1) * (2 * v + 1) * (u - v))
-
-
-def _q_f(u, v):
-    _guard(u + v + 1, "u+v+1")
-    _guard(u - v, "u-v")
-    return (u + v) / ((u + v + 1) * (u - v))
-
-
-def _p_f(u, v):
-    _guard(2 * u + 1, "2u+1")
-    _guard(u - v, "u-v")
-    return -2 * u / ((2 * u + 1) * (u - v))
-
-
-def _y(u, v):
-    _guard(u + v + 1, "u+v+1")
-    _guard(2 * v + 1, "2v+1")
-    return -1 / ((u + v + 1) * (2 * v + 1))
-
-
-def _z(u, v):
-    _guard(u + v + 1, "u+v+1")
-    return -1 / (u + v + 1)
-
+# Each is a numerator over a product of the linear factors u-v, u+v+1, 2u+1
+# and 2v+1, listed in the order they are guarded and multiplied.  The last
+# two are named q_f, p_f to avoid colliding with the boundary strengths p
+# and q.
 
 STRUCTURE_FUNCTIONS = {
-    "f": _f, "g": _g, "w": _w, "h": _h, "k": _k, "n": _n,
-    "m": _m, "l": _l, "q_f": _q_f, "p_f": _p_f, "y": _y, "z": _z,
+    "f": (lambda u, v: (u - v - 1) * (u + v), ("u-v", "u+v+1")),
+    "g": (lambda u, v: 2 * v, ("2v+1", "u-v")),
+    "w": (lambda u, v: -1, ("u+v+1",)),
+    "h": (lambda u, v: (u - v + 1) * (u + v + 2), ("u-v", "u+v+1")),
+    "k": (lambda u, v: -2 * (u + 1), ("u-v", "2u+1")),
+    "n": (lambda u, v: 4 * v * (u + 1), ("u+v+1", "2v+1", "2u+1")),
+    "m": (lambda u, v: 2 * u * (u - v + 1), ("2u+1", "u+v+1", "u-v")),
+    "l": (lambda u, v: -2 * u, ("2u+1", "2v+1", "u-v")),
+    "q_f": (lambda u, v: u + v, ("u+v+1", "u-v")),
+    "p_f": (lambda u, v: -2 * u, ("2u+1", "u-v")),
+    "y": (lambda u, v: -1, ("u+v+1", "2v+1")),
+    "z": (lambda u, v: -1, ("u+v+1",)),
 }
+
 
 def structure_fn(name: str, u, v) -> complex:
     """Evaluate an exchange-relation structure function by name."""
     try:
-        fn = STRUCTURE_FUNCTIONS[name]
+        numerator, labels = STRUCTURE_FUNCTIONS[name]
     except KeyError:
         raise ParameterError(f"unknown structure function {name!r}") from None
-    return fn(complex(u), complex(v))
+    u, v = complex(u), complex(v)
+    factors = {"u-v": u - v, "u+v+1": u + v + 1, "2u+1": 2 * u + 1, "2v+1": 2 * v + 1}
+    return _guarded_ratio(numerator(u, v), [(factors[label], label) for label in labels])
 
 
 # --- eigenvalue and Bethe residuals ------------------------------------------
@@ -363,13 +311,13 @@ def roots_admissible(roots, params: ModelParams) -> bool:
     return True
 
 
-def select_signature_probes(
-    root_sets, count: int = 3, pool=SIGNATURE_PROBES + FALLBACK_PROBES
-) -> tuple:
-    """First ``count`` probes of ``pool`` clear of every set's eigenvalue poles."""
+def select_signature_probes(root_sets) -> tuple:
+    """First probes of ``SIGNATURE_PROBES + FALLBACK_PROBES`` clear of every set's
+    eigenvalue poles, as many as ``SIGNATURE_PROBES`` holds."""
     margin = 1e-4  # wider than the pole guard so Lambda stays well conditioned
+    count = len(SIGNATURE_PROBES)
     chosen = []
-    for probe in pool:
+    for probe in SIGNATURE_PROBES + FALLBACK_PROBES:
         factors = [2 * probe + 1]
         for rs in root_sets:
             for lam in _root_values(rs):

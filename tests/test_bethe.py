@@ -4,7 +4,7 @@ import pytest
 from openxxx import bethe, model, scalars, vectors
 from openxxx.bethe import SolverConfig
 
-from conftest import make_params
+from conftest import XI_MINUS, make_params
 from test_scalars import diag_be_polynomial_n1
 
 
@@ -61,7 +61,8 @@ def test_solve_bethe_n1_generic_covers_both_curves(params_n1):
     assert len(sets) == 2
     # each set's Lambda reproduces a distinct eigencurve of the 2x2 transfer matrix
     curves, _, _ = bethe.dense_spectrum_curves(params_n1)
-    pts = np.array(bethe.MATCH_PROBES[:6])
+    pts = np.array([0.52 + 0.41j, -0.37 + 0.93j, 1.42 - 0.27j, -1.13 - 0.62j, 0.91 + 1.21j,
+                    2.02 + 0.33j])
     hits = []
     for rs in sets:
         lam = np.array([scalars.eigenvalue_Lambda(pt, rs, params_n1) for pt in pts])
@@ -267,3 +268,36 @@ def test_coverage_maxima_keep_non_finite_entries():
     ]
     cover = bethe.CoverageResult(matches, "general")
     assert np.isnan(cover.max_match_error) and np.isnan(cover.max_eigen_residual)
+
+
+def _tq_residual(curve, roots, params):
+    """The T-Q residual of ``roots`` against ``curve``, written out from the relation.
+
+    max over the 4N+8 fit points u of |c Q(u) - A Q(u-1) - D Q(u+1) - R| over
+    the largest of the four magnitudes, Q(x) = prod_j (x - l_j)(x + l_j + 1).
+    """
+    n_pts = 4 * params.n_sites + 8
+    radius = 1.9 + max(abs(t) for t in params.theta)
+    u = bethe.CURVE_CENTER + radius * np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+    a, d, r = scalars.lambda_terms(u, (), params, params.rho)
+
+    def q(x):
+        out = np.ones_like(x)
+        for lam in roots:
+            out = out * ((x - lam) * (x + lam + 1))
+        return out
+
+    terms = (curve(u) * q(u), a * q(u - 1), d * q(u + 1), r)
+    resid = np.abs(terms[0] - terms[1] - terms[2] - terms[3])
+    return float(np.max(resid / np.max(np.abs(terms), axis=0)))
+
+
+@pytest.mark.parametrize("n_sites, xi_minus, mode", [
+    (3, 0.0, "diagonal-sectors"), (4, XI_MINUS, "general"),
+])
+def test_match_error_is_the_tq_residual(n_sites, xi_minus, mode):
+    params = make_params(n_sites, xi_minus=xi_minus)
+    cover = bethe.cover_spectrum(params, SolverConfig(seed=7))
+    assert cover.mode == mode and cover.unmatched_count == 0
+    for m in cover.matches:
+        assert m.match_error == _tq_residual(m.curve, m.matched_roots.roots, params)

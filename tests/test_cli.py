@@ -112,6 +112,20 @@ def test_cmd_verify_fast_checks(tmp_path, capsys):
     assert "suite: pass" in capsys.readouterr().err
 
 
+def test_cmd_verify_fails_when_every_check_is_skipped(tmp_path, capsys):
+    doc = {
+        "model": {"xi_minus": 0.0},
+        "checks": ["rotated.k_plus_diagonalization", "rotated.frame_vacuum_actions"],
+    }
+    code = cli.main(["verify", "--config", write_config(tmp_path, doc)])
+    assert code == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert {c["verdict"] for c in report["checks"]} == {"skipped"}
+    assert report["all_pass"] is False
+    assert "suite: FAIL" in captured.err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cmd_verify_fails_on_non_finite_residuals(tmp_path):
     # p = 1e160 overflows the operators to NaN; a NaN sample must fail its

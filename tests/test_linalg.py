@@ -81,23 +81,3 @@ def test_commutator_norm_values(rng):
     expected = np.linalg.norm(comm) / (np.linalg.norm(SX) * np.linalg.norm(SY))
     assert abs(expected - math.sqrt(2)) < 1e-15
     assert abs(linalg.commutator_norm(SX, SY) - expected) < 1e-15
-
-
-def test_reorder_and_embed_factors():
-    # embedding the swap on factors (0, 2) of three sites and acting on basis
-    # vectors must exchange the outer bits
-    swap02 = linalg.embed_factors(
-        np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex),
-        (0, 2),
-        3,
-    )
-    for idx in range(8):
-        vec = np.zeros(8, dtype=complex)
-        vec[idx] = 1
-        out = swap02 @ vec
-        bits = [(idx >> 2) & 1, (idx >> 1) & 1, idx & 1]
-        swapped = (bits[2] << 2) | (bits[1] << 1) | bits[0]
-        assert out[swapped] == 1
-
-    with pytest.raises(DimensionError):
-        linalg.reorder_factors(np.eye(8), [0, 1, 1])

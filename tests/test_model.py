@@ -108,15 +108,26 @@ def test_scalar_reflection_equation(params_n1, rng):
 
 # --- monodromies and the open monodromy ---------------------------------------------
 
+def swap_factors(i, j, n):
+    """Permutation matrix exchanging two-level factors i and j of n (factor 0 leftmost)."""
+    dim = 2 ** n
+    out = np.zeros((dim, dim), dtype=complex)
+    for b in range(dim):
+        flip = ((b >> (n - 1 - i)) ^ (b >> (n - 1 - j))) & 1
+        out[b ^ (flip << (n - 1 - i)) ^ (flip << (n - 1 - j)), b] = 1
+    return out
+
+
 def explicit_open_k(u, params):
-    """R_01...R_0N (K- x I) R_0N...R_01 as dense products of embedded factors."""
+    """R_01...R_0N (K- x I) R_0N...R_01 as dense products, with R_0j(x) = x + P_0j."""
     n = params.n_sites
+    eye = np.eye(2 ** (n + 1))
     r_factors = [
-        [linalg.embed_factors(model.r_matrix(u + sign * params.theta[j - 1]), (0, j), n + 1)
+        [(u + sign * params.theta[j - 1]) * eye + swap_factors(0, j, n + 1)
          for j in range(1, n + 1)]
         for sign in (-1, 1)
     ]
-    k = linalg.embed_factors(model.k_minus_matrix(u, params), (0,), n + 1)
+    k = np.kron(model.k_minus_matrix(u, params), np.eye(2 ** n))
     for r in reversed(r_factors[0]):
         k = r @ k
     for r in reversed(r_factors[1]):
@@ -158,12 +169,13 @@ def test_open_k_entry_degree(params_n2):
 
 def test_dressed_reflection_equation(params_n2, rng):
     n = params_n2.n_sites
-    chain = tuple(range(2, n + 2))
+    chain = np.eye(2 ** n)
+    p01 = swap_factors(0, 1, n + 2)
     u, v = 0.41 + 0.23j, -0.57 + 0.11j
-    k1 = linalg.embed_factors(model.open_k_matrix(u, params_n2), (0,) + chain, n + 2)
-    k2 = linalg.embed_factors(model.open_k_matrix(v, params_n2), (1,) + chain, n + 2)
-    rm = linalg.embed_factors(model.r_matrix(u - v), (0, 1), n + 2)
-    rp = linalg.embed_factors(model.r_matrix(u + v), (0, 1), n + 2)
+    k1 = p01 @ np.kron(np.eye(2), model.open_k_matrix(u, params_n2)) @ p01
+    k2 = np.kron(np.eye(2), model.open_k_matrix(v, params_n2))
+    rm = np.kron(model.r_matrix(u - v), chain)
+    rp = np.kron(model.r_matrix(u + v), chain)
     lhs = rm @ k1 @ rp @ k2
     rhs = k2 @ rp @ k1 @ rm
     assert np.linalg.norm(lhs - rhs) / np.linalg.norm(lhs) < 1e-12

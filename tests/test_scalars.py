@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,47 @@ def test_structure_function_values():
         scalars.structure_fn("nope", 1, 2)
     with pytest.raises(PoleError):
         scalars.structure_fn("f", 1.0, 1.0 + 1e-9)
+
+
+# The twelve structure functions as written out one by one, each with the
+# linear factors it guards, in guard order: the reference for the table.
+STRUCTURE_REFERENCE = {
+    "f": (lambda u, v: (u - v - 1) * (u + v) / ((u - v) * (u + v + 1)), ("u-v", "u+v+1")),
+    "h": (lambda u, v: (u - v + 1) * (u + v + 2) / ((u - v) * (u + v + 1)), ("u-v", "u+v+1")),
+    "w": (lambda u, v: -1 / (u + v + 1), ("u+v+1",)),
+    "g": (lambda u, v: 2 * v / ((2 * v + 1) * (u - v)), ("2v+1", "u-v")),
+    "k": (lambda u, v: -2 * (u + 1) / ((u - v) * (2 * u + 1)), ("u-v", "2u+1")),
+    "n": (
+        lambda u, v: 4 * v * (u + 1) / ((u + v + 1) * (2 * v + 1) * (2 * u + 1)),
+        ("u+v+1", "2v+1", "2u+1"),
+    ),
+    "m": (
+        lambda u, v: 2 * u * (u - v + 1) / ((2 * u + 1) * (u + v + 1) * (u - v)),
+        ("2u+1", "u+v+1", "u-v"),
+    ),
+    "l": (lambda u, v: -2 * u / ((2 * u + 1) * (2 * v + 1) * (u - v)), ("2u+1", "2v+1", "u-v")),
+    "q_f": (lambda u, v: (u + v) / ((u + v + 1) * (u - v)), ("u+v+1", "u-v")),
+    "p_f": (lambda u, v: -2 * u / ((2 * u + 1) * (u - v)), ("2u+1", "u-v")),
+    "y": (lambda u, v: -1 / ((u + v + 1) * (2 * v + 1)), ("u+v+1", "2v+1")),
+    "z": (lambda u, v: -1 / (u + v + 1), ("u+v+1",)),
+}
+
+
+def _on_factor(label, u, v):
+    """(u, v) moved so that the linear factor ``label`` vanishes."""
+    return {"u-v": (u, u), "u+v+1": (u, -u - 1), "2u+1": (-0.5, v), "2v+1": (u, -0.5)}[label]
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURE_REFERENCE))
+def test_structure_function_pinned_to_reference(name, rng):
+    reference, factors = STRUCTURE_REFERENCE[name]
+    assert set(scalars.STRUCTURE_FUNCTIONS) == set(STRUCTURE_REFERENCE)
+    for _ in range(20):
+        u, v = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
+        assert scalars.structure_fn(name, u, v) == reference(u, v)
+        for label in factors:
+            with pytest.raises(PoleError, match=re.escape(f"|{label}|")):
+                scalars.structure_fn(name, *_on_factor(label, u, v))
 
 
 def test_structure_function_reflection_invariance(rng):

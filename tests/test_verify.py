@@ -6,7 +6,7 @@ from openxxx.bethe import SolverConfig
 from openxxx.errors import OpenXXXError
 from openxxx.model import ModelParams
 
-from conftest import make_params
+from conftest import XI_MINUS, make_params
 
 FAST_CHECKS = [
     "foundations.yang_baxter",
@@ -73,6 +73,18 @@ def test_n4_probe_reported_not_gating(params_n2):
     assert probe.n_sites == 4
     assert not probe.gating
     assert probe.residual < 1e-6  # recorded as evidence; does not gate either way
+
+
+@pytest.mark.parametrize("checks, xi_minus", [
+    ([], XI_MINUS),
+    (["rotated.k_plus_diagonalization", "rotated.frame_vacuum_actions"], 0.0),
+    (["offshell.n4_probe"], XI_MINUS),
+], ids=["no-checks", "all-skipped", "non-gating-only"])
+def test_suite_without_a_passing_gating_check_does_not_pass(checks, xi_minus):
+    params = make_params(2, xi_minus=xi_minus)
+    report = verify.run_suite(params, checks=checks, seed=1, n_samples=1)
+    assert all(c.verdict != "fail" for c in report.checks)
+    assert not report.all_pass
 
 
 def test_max_sites_truncation(params_n2):
