@@ -15,6 +15,7 @@ import json
 import logging
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 from . import bethe, config as config_mod, verify
 from .config import RunConfig, from_complex, model_to_dict, parse_config
@@ -71,6 +72,12 @@ def _load(args: argparse.Namespace) -> RunConfig:
         cfg = dataclasses.replace(cfg, format=args.format)
     if args.out is not None:
         cfg = dataclasses.replace(cfg, output_path=args.out)
+    if cfg.output_path is not None:
+        out = Path(cfg.output_path)
+        if out.is_dir():
+            raise ConfigError(f"output_path: {out} is a directory")
+        if not out.parent.is_dir():
+            raise ConfigError(f"output_path: no directory {out.parent}")
     if cfg.checks != "all":
         unknown = [c for c in cfg.checks if c not in verify.registry()]
         if unknown:
@@ -149,7 +156,7 @@ def cmd_solve(cfg: RunConfig):
 
 
 def cmd_spectrum(cfg: RunConfig):
-    cover = bethe.cover_spectrum(cfg.model, cfg.solver, match_tol=cfg.spectrum.match_tol)
+    cover = bethe.cover_spectrum(cfg.model, cfg.solver)
     payload = {
         "command": "spectrum",
         "seed": cfg.solver.seed,
@@ -182,7 +189,7 @@ def cmd_spectrum(cfg: RunConfig):
 
 
 def _sweep_point(cfg: RunConfig, value: complex, point: ModelParams) -> dict:
-    cover = bethe.cover_spectrum(point, cfg.solver, match_tol=cfg.spectrum.match_tol)
+    cover = bethe.cover_spectrum(point, cfg.solver)
     return {
         "param": cfg.sweep.param,
         "value": from_complex(value),

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .bethe import SolverConfig
 from .errors import ConfigError
-from .model import ModelParams
+from .model import MAX_SITES, ModelParams
 
 DEFAULT_SEED = 1234
 
@@ -27,8 +27,6 @@ DEFAULT_MODEL = {
     "q": [0.83, -0.29],
     "xi_plus": [0.61, 0.24],
     "xi_minus": [1.13, -0.37],
-    "eta_plus": [0.0, 0.0],
-    "eta_minus": [0.0, 0.0],
     "branch": "principal",
 }
 
@@ -68,15 +66,6 @@ def _get_number(section, key, default, where, integer=False):
 
 
 @dataclass(frozen=True)
-class SpectrumConfig:
-    match_tol: float = 1e-8
-
-    def __post_init__(self):
-        if not 0 < self.match_tol < math.inf:
-            raise ValueError("match_tol must be positive and finite")
-
-
-@dataclass(frozen=True)
 class SweepConfig:
     param: str
     grid: tuple
@@ -94,7 +83,6 @@ class RunConfig:
     n_samples: int = 10
     output_path: str | None = None
     format: str = "json"
-    spectrum: SpectrumConfig = field(default_factory=SpectrumConfig)
     sweep: SweepConfig | None = None
 
 
@@ -102,8 +90,10 @@ def _parse_model(section: dict) -> ModelParams:
     _require_keys(section, DEFAULT_MODEL, "model")
     merged = {**DEFAULT_MODEL, **section}
     n_sites = merged["n_sites"]
-    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or n_sites < 1:
-        raise ConfigError(f"model.n_sites: expected a positive integer, got {n_sites!r}")
+    if not isinstance(n_sites, int) or isinstance(n_sites, bool) or not 1 <= n_sites <= MAX_SITES:
+        raise ConfigError(
+            f"model.n_sites: expected an integer in 1..{MAX_SITES}, got {n_sites!r}"
+        )
     theta_raw = merged["theta"]
     if "theta" not in section and "n_sites" in section:
         # an explicit chain length without inhomogeneities means a homogeneous chain
@@ -116,7 +106,7 @@ def _parse_model(section: dict) -> ModelParams:
         raise ConfigError(f"model.branch: expected principal|conjugate, got {branch!r}")
     values = {
         key: to_complex(merged[key], f"model.{key}")
-        for key in ("p", "q", "xi_plus", "xi_minus", "eta_plus", "eta_minus")
+        for key in ("p", "q", "xi_plus", "xi_minus")
     }
     if abs(values["xi_plus"] * values["xi_minus"] + 1) < 1e-3:
         raise ConfigError(
@@ -145,14 +135,6 @@ def _parse_solver(section: dict) -> SolverConfig:
         )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
-
-
-def _parse_spectrum(section: dict) -> SpectrumConfig:
-    _require_keys(section, ("match_tol",), "spectrum")
-    try:
-        return SpectrumConfig(match_tol=_get_number(section, "match_tol", 1e-8, "spectrum"))
-    except ValueError as exc:
-        raise ConfigError(f"spectrum: {exc}") from exc
 
 
 def sweep_theta_index(param: str) -> int | None:
@@ -203,8 +185,7 @@ def parse_config_dict(doc: dict) -> RunConfig:
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     allowed = (
-        "model", "solver", "checks", "n_samples", "output_path", "format",
-        "spectrum", "sweep",
+        "model", "solver", "checks", "n_samples", "output_path", "format", "sweep",
     )
     _require_keys(doc, allowed, "config")
     checks = doc.get("checks", "all")
@@ -230,7 +211,6 @@ def parse_config_dict(doc: dict) -> RunConfig:
         n_samples=n_samples,
         output_path=output_path,
         format=fmt,
-        spectrum=_parse_spectrum(doc.get("spectrum", {})),
         sweep=_parse_sweep(sweep, model) if sweep is not None else None,
     )
 
@@ -255,33 +235,8 @@ def model_to_dict(params: ModelParams) -> dict:
         "q": from_complex(params.q),
         "xi_plus": from_complex(params.xi_plus),
         "xi_minus": from_complex(params.xi_minus),
-        "eta_plus": from_complex(params.eta_plus),
-        "eta_minus": from_complex(params.eta_minus),
         "branch": params.branch,
     }
-
-
-def config_to_dict(cfg: RunConfig) -> dict:
-    doc = {
-        "model": model_to_dict(cfg.model),
-        "solver": {
-            "n_starts": cfg.solver.n_starts,
-            "max_iter": cfg.solver.max_iter,
-            "tol": cfg.solver.tol,
-            "seed": cfg.solver.seed,
-        },
-        "checks": cfg.checks,
-        "n_samples": cfg.n_samples,
-        "output_path": cfg.output_path,
-        "format": cfg.format,
-        "spectrum": {"match_tol": cfg.spectrum.match_tol},
-    }
-    if cfg.sweep is not None:
-        doc["sweep"] = {
-            "param": cfg.sweep.param,
-            "grid": [from_complex(v) for v in cfg.sweep.grid],
-        }
-    return doc
 
 
 def default_config() -> RunConfig:

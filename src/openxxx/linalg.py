@@ -3,7 +3,7 @@
 Everything is plain ``numpy`` on ``complex128``; operators are immutable by
 convention (builders return fresh arrays) and every function here is pure.
 The auxiliary space, when present, is always the leftmost tensor factor.
-Other factor orders come from ``kron`` and the swap P: R13 = P23 R12 P23.
+Other factor orders come from ``np.kron`` and the swap P: R13 = P23 R12 P23.
 """
 
 from __future__ import annotations
@@ -12,26 +12,12 @@ import numpy as np
 
 from .errors import DimensionError
 
-# Hard cap on dense operator dimension (2^14 = chain of 13 sites as a vector,
-# 6 sites as a full aux+chain operator).  Keeps every product at desk scale.
-MAX_DIM = 2 ** 14
-
 
 def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:
         raise DimensionError(f"expected a matrix, got array of ndim {m.ndim}")
     return m
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, left factor most significant."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[0] * b.shape[0] > MAX_DIM or a.shape[1] * b.shape[1] > MAX_DIM:
-        raise DimensionError(
-            f"kron result {a.shape[0] * b.shape[0]} exceeds dense cap {MAX_DIM}"
-        )
-    return np.kron(a, b)
 
 
 def embed_site(op2, site: int, n_sites: int) -> np.ndarray:
@@ -43,7 +29,7 @@ def embed_site(op2, site: int, n_sites: int) -> np.ndarray:
         raise DimensionError(f"site {site} out of range 1..{n_sites}")
     left = np.eye(2 ** (site - 1), dtype=complex)
     right = np.eye(2 ** (n_sites - site), dtype=complex)
-    return kron(kron(left, op2), right)
+    return np.kron(np.kron(left, op2), right)
 
 
 def frobenius(a) -> float:

@@ -24,8 +24,11 @@ from .errors import ParameterError, PoleError
 # Spectral-parameter pole guard: evaluations this close to a pole are rejected.
 POLE_EPS = 1e-6
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+# Longest chain a model may have.  The cover holds 2N+3 dense 2^N x 2^N
+# complex t(u) samples, several copies at once: 386 MB per copy at N = 10,
+# 1.68 GB at N = 11.
+MAX_SITES = 10
+
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -86,9 +89,10 @@ class ModelParams:
         theta = tuple(complex(t) for t in theta)
         if n_sites is None:
             n_sites = len(theta)
-        if n_sites < 1 or len(theta) != n_sites:
+        if not 1 <= n_sites <= MAX_SITES or len(theta) != n_sites:
             raise ParameterError(
-                f"need n_sites >= 1 inhomogeneities, got {len(theta)} for N={n_sites}"
+                f"need 1..{MAX_SITES} sites with one inhomogeneity each, "
+                f"got {len(theta)} for N={n_sites}"
             )
         if branch not in ("principal", "conjugate"):
             raise ParameterError(f"unknown branch {branch!r}")
@@ -196,15 +200,15 @@ def k_plus_matrix(u, params: ModelParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _aux_swap_columns(site: int, n_sites: int) -> np.ndarray:
-    """Index map sigma with M[:, sigma] = M P_(0,site): swap aux and site bits."""
-    n = n_sites + 1
-    idx = np.arange(2 ** n)
-    aux_bit = n - 1  # aux is the most significant bit
-    site_bit = n - 1 - site
-    a = (idx >> aux_bit) & 1
-    s = (idx >> site_bit) & 1
-    swapped = (idx & ~(1 << aux_bit) & ~(1 << site_bit)) | (s << aux_bit) | (a << site_bit)
+def _swap_columns(a: int, b: int, n_factors: int) -> np.ndarray:
+    """Index map sigma with M[:, sigma] = M P_ab: swap tensor factors a and b.
+
+    Factors count from 0 at the leftmost, most significant one.
+    """
+    idx = np.arange(2 ** n_factors)
+    bit_a, bit_b = n_factors - 1 - a, n_factors - 1 - b
+    differ = ((idx >> bit_a) ^ (idx >> bit_b)) & 1
+    swapped = idx ^ (differ << bit_a) ^ (differ << bit_b)
     swapped.flags.writeable = False
     return swapped
 
@@ -221,11 +225,11 @@ def open_k_matrix(u, params: ModelParams) -> np.ndarray:
     n, d = params.n_sites, params.dim
     k = np.eye(2 * d, dtype=complex)
     for j in range(1, n + 1):
-        k = (u - params.theta[j - 1]) * k + k[:, _aux_swap_columns(j, n)]
+        k = (u - params.theta[j - 1]) * k + k[:, _swap_columns(0, j, n + 1)]
     k[:, :d] *= params.p + u
     k[:, d:] *= params.p - u
     for j in range(n, 0, -1):
-        k = (u + params.theta[j - 1]) * k + k[:, _aux_swap_columns(j, n)]
+        k = (u + params.theta[j - 1]) * k + k[:, _swap_columns(0, j, n + 1)]
     return k
 
 
@@ -280,6 +284,7 @@ def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
 
     (1/q)(sz_1 + xi+ s+_1 + xi- s-_1) + sum_n vec(s)_n . vec(s)_{n+1}
     + (1/p)(sz_N + eta+ s+_N + eta- s-_N); the bulk sum is empty at N=1.
+    Each bond is vec(s)_n . vec(s)_{n+1} = 2 P_(n,n+1) - 1.
     """
     if params.p == 0 or params.q == 0:
         raise ParameterError("boundary strengths p, q must be nonzero for the Hamiltonian")
@@ -289,9 +294,9 @@ def hamiltonian_matrix(params: ModelParams) -> np.ndarray:
         + params.xi_plus * linalg.embed_site(SIGMA_PLUS, 1, n)
         + params.xi_minus * linalg.embed_site(SIGMA_MINUS, 1, n)
     ) / params.q
+    eye = np.eye(params.dim, dtype=complex)
     for site in range(1, n):
-        for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z):
-            h = h + linalg.embed_site(pauli, site, n) @ linalg.embed_site(pauli, site + 1, n)
+        h = h + (2 * eye[:, _swap_columns(site - 1, site, n)] - eye)
     h = h + (
         linalg.embed_site(SIGMA_Z, n, n)
         + params.eta_plus * linalg.embed_site(SIGMA_PLUS, n, n)

@@ -28,6 +28,9 @@ from .model import ModelParams
 # declared degenerate; genericity of the roots is enforced, not assumed.
 MAX_BASIS_CONDITION = 1e10
 
+# Relative residual within which ``extract_W``'s expansion must rebuild the vector.
+W_FIT_TOL = 1e-9
+
 CONTRACTION_TOL = 1e-12
 
 
@@ -173,12 +176,12 @@ def _solve_in_sector(columns, target, n_sites: int, m: int, what: str) -> np.nda
     return x
 
 
-def extract_W(roots, params: ModelParams, fit_tol: float = 1e-9) -> list[CoefficientTable]:
+def extract_W(roots, params: ModelParams) -> list[CoefficientTable]:
     """Expand the Bethe vector over undressed B-strings, one table per order.
 
     Solves sector by sector for the coefficients W_{i1..im} multiplying
     B(lam_i1)...B(lam_im)|Omega>, then checks the reconstruction reproduces
-    the vector to ``fit_tol`` (relative).  Only the direct development of the
+    the vector to ``W_FIT_TOL`` (relative).  Only the direct development of the
     ansatz is extracted; rewritings via the Bethe equations are out of scope.
     """
     lams = scalars._root_values(roots)
@@ -199,7 +202,7 @@ def extract_W(roots, params: ModelParams, fit_tol: float = 1e-9) -> list[Coeffic
     for w, vec in terms:
         recon += w * vec
     scale = max(float(np.linalg.norm(phi)), 1.0)
-    if not np.linalg.norm(recon - phi) <= fit_tol * scale:
+    if not np.linalg.norm(recon - phi) <= W_FIT_TOL * scale:
         raise DegenerateBasisError("extract_W: reconstruction residual exceeds tolerance")
     return tables
 

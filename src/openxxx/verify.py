@@ -112,12 +112,12 @@ def check_names() -> list[str]:
 @_check("foundations.yang_baxter", sites=(1,), tol=1e-12)
 def _yang_baxter(ctx: CheckContext) -> Iterator[float]:
     eye = np.eye(2, dtype=complex)
-    p23 = linalg.kron(eye, model.PERMUTATION)
+    p23 = np.kron(eye, model.PERMUTATION)
     for _ in range(ctx.n_samples):
         u, v = ctx.draw_point(), ctx.draw_point()
-        r12 = linalg.kron(model.r_matrix(u - v), eye)
-        r13 = p23 @ linalg.kron(model.r_matrix(u), eye) @ p23
-        r23 = linalg.kron(eye, model.r_matrix(v))
+        r12 = np.kron(model.r_matrix(u - v), eye)
+        r13 = p23 @ np.kron(model.r_matrix(u), eye) @ p23
+        r23 = np.kron(eye, model.r_matrix(v))
         lhs = r12 @ r13 @ r23
         rhs = r23 @ r13 @ r12
         yield linalg.rel_residual(lhs - rhs, linalg.frobenius(lhs))
@@ -131,13 +131,13 @@ def _gl2_invariance(ctx: CheckContext) -> Iterator[float]:
             if abs(np.linalg.det(q)) > 0.1:
                 break
         u = ctx.draw_point()
-        yield linalg.commutator_norm(model.r_matrix(u), linalg.kron(q, q))
+        yield linalg.commutator_norm(model.r_matrix(u), np.kron(q, q))
 
 
 def _reflection_residual(k_fn, u, v) -> float:
     eye = np.eye(2, dtype=complex)
-    k1 = linalg.kron(k_fn(u), eye)
-    k2 = linalg.kron(eye, k_fn(v))
+    k1 = np.kron(k_fn(u), eye)
+    k2 = np.kron(eye, k_fn(v))
     rm, rp = model.r_matrix(u - v), model.r_matrix(u + v)
     lhs = rm @ k1 @ rp @ k2
     rhs = k2 @ rp @ k1 @ rm
@@ -159,13 +159,13 @@ def _reflection_dressed(ctx: CheckContext) -> Iterator[float]:
     """Dressed reflection equation on aux 1 x aux 2 x chain, with K on aux 1 as P01 (I x K) P01."""
     p = ctx.params
     eye2, chain = np.eye(2, dtype=complex), np.eye(p.dim, dtype=complex)
-    p01 = linalg.kron(model.PERMUTATION, chain)
+    p01 = np.kron(model.PERMUTATION, chain)
     for _ in range(ctx.n_samples):
         u, v = ctx.draw_point(), ctx.draw_point()
-        k1 = p01 @ linalg.kron(eye2, model.open_k_matrix(u, p)) @ p01
-        k2 = linalg.kron(eye2, model.open_k_matrix(v, p))
-        rm = linalg.kron(model.r_matrix(u - v), chain)
-        rp = linalg.kron(model.r_matrix(u + v), chain)
+        k1 = p01 @ np.kron(eye2, model.open_k_matrix(u, p)) @ p01
+        k2 = np.kron(eye2, model.open_k_matrix(v, p))
+        rm = np.kron(model.r_matrix(u - v), chain)
+        rp = np.kron(model.r_matrix(u + v), chain)
         lhs = rm @ k1 @ rp @ k2
         rhs = k2 @ rp @ k1 @ rm
         yield linalg.rel_residual(lhs - rhs, linalg.frobenius(lhs))
@@ -635,23 +635,20 @@ _ONSHELL_TOL = {1: 1e-8, 2: 1e-8, 3: 1e-7}
 
 
 @lru_cache(maxsize=16)
-def _cached_cover(params: ModelParams, cfg: SolverConfig, match_tol: float):
-    return bethe.cover_spectrum(params, cfg, match_tol=match_tol)
-
-
-def _coverage(ctx: CheckContext) -> bethe.CoverageResult:
-    return _cached_cover(ctx.params, ctx.solver_cfg, ctx.tol)
+def _cached_cover(params: ModelParams, cfg: SolverConfig) -> bethe.CoverageResult:
+    """One cover per model and solver setting, shared by the on-shell checks."""
+    return bethe.cover_spectrum(params, cfg)
 
 
 @_check("spectrum.completeness", sites=(1, 2, 3), tol=_ONSHELL_TOL)
 def _spectrum_completeness(ctx: CheckContext) -> Iterator[float]:
-    cover = _coverage(ctx)
+    cover = _cached_cover(ctx.params, ctx.solver_cfg)
     yield float("inf") if cover.unmatched_count else cover.max_match_error
 
 
 @_check("onshell.eigen_residual", sites=(1, 2, 3), tol=_ONSHELL_TOL)
 def _onshell_eigen(ctx: CheckContext) -> Iterator[float]:
-    cover = _coverage(ctx)
+    cover = _cached_cover(ctx.params, ctx.solver_cfg)
     yield float("inf") if cover.unmatched_count else cover.max_eigen_residual
 
 
@@ -659,9 +656,8 @@ def _onshell_eigen(ctx: CheckContext) -> Iterator[float]:
 def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
     """On shell, Lambda(u) interpolates a polynomial of the transfer-matrix degree."""
     p = ctx.params
-    # the cover holds the certified root sets of every eigencurve; the cache
-    # key uses the on-shell tolerance so the completeness check's cover is reused
-    sets = _cached_cover(p, ctx.solver_cfg, _ONSHELL_TOL[ctx.n_sites]).root_sets
+    # the cover holds the certified root sets of every eigencurve
+    sets = _cached_cover(p, ctx.solver_cfg).root_sets
     if not sets:
         raise SkipCheck("no converged Bethe solutions to test")
     degree = 2 * p.n_sites + 2

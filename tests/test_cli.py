@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from openxxx import cli, config
 from openxxx.errors import ConfigError
+from openxxx.model import MAX_SITES
 
 BASE_DOC = {
     "model": {
@@ -36,16 +37,6 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 # --- config parsing ---------------------------------------------------------------
-
-def test_config_round_trip(tmp_path):
-    doc = dict(BASE_DOC)
-    doc["checks"] = FAST_CHECKS
-    doc["format"] = "csv"
-    doc["sweep"] = {"param": "xi_plus", "grid": [[0.1, 0.0], [0.4, 0.2]]}
-    cfg = config.parse_config(write_config(tmp_path, doc))
-    again = config.parse_config_dict(config.config_to_dict(cfg))
-    assert again == cfg
-
 
 def test_config_complex_forms(tmp_path):
     doc = dict(BASE_DOC)
@@ -175,6 +166,46 @@ def test_unreadable_config_exits_2(tmp_path, capsys, command, config_text):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("patch", [
+    {"spectrum": {}},
+    {"model": {"eta_plus": [0.0, 0.0]}},
+    {"model": {"eta_minus": [0.3, 0.1]}},
+])
+@pytest.mark.parametrize("command", ["verify", "solve", "spectrum", "sweep"])
+def test_removed_settings_are_unknown_keys(tmp_path, capsys, command, patch):
+    # no result depends on them: the right boundary is diagonal and the
+    # match tolerance is a constant
+    doc = {**patch, "sweep": {"param": "p", "grid": [[1.7, 0.4]]}}
+    assert cli.main([command, "--config", write_config(tmp_path, doc)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: " in captured.err and "unknown keys" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("n_sites", [MAX_SITES + 1, 10**9])
+def test_config_rejects_chains_beyond_max_sites(n_sites):
+    # without theta, the homogeneous theta list must not be built first
+    msg = rf"model.n_sites: expected an integer in 1\.\.{MAX_SITES}"
+    with pytest.raises(ConfigError, match=msg):
+        config.parse_config_dict({"model": {"n_sites": n_sites}})
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+@pytest.mark.parametrize("command", ["verify", "solve", "spectrum", "sweep"])
+def test_bad_output_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch, command, where):
+    def not_run(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, f"cmd_{command}", not_run)
+    out = tmp_path / "missing" / "x.json" if where == "missing-dir" else tmp_path
+    doc = {"sweep": {"param": "p", "grid": [[1.7, 0.4]]}}
+    code = cli.main([command, "--config", write_config(tmp_path, doc), "--out", str(out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "config error: output_path: " in captured.err
+    assert captured.out == ""
+
+
 def test_cmd_verify_degenerate_config(tmp_path):
     doc = dict(BASE_DOC)
     doc["model"] = dict(doc["model"], xi_plus=[1.0, 0.0], xi_minus=[-1.0, 0.0])
@@ -291,16 +322,17 @@ def test_cmd_spectrum_overflowing_model_is_a_tracking_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("spectrum", [
+    {"match_tol": 1e-8},  # the match tolerance is a constant, even at its old default
     {"match_tol": 0},
-    {"match_tol": -1},
-    {"residual_samples": 0},  # no longer a key: rejected as unknown
+    {"residual_samples": 0},
     {"rounds": 3},
     {"n_probe": 96},
 ])
 def test_cmd_spectrum_rejects_invalid_settings(tmp_path, capsys, spectrum):
+    # no spectrum key is left, so the whole section is an unknown key
     doc = {**BASE_DOC, "spectrum": spectrum}
     assert cli.main(["spectrum", "--config", write_config(tmp_path, doc)]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert "config error: config: unknown keys ['spectrum']" in capsys.readouterr().err
 
 
 def test_cmd_spectrum_seed_override_changes_nothing_deterministic(tmp_path):

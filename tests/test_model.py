@@ -43,6 +43,15 @@ def test_params_validation_errors():
         ModelParams.create([0.1], 1.0, 1.0, branch="other")
 
 
+@pytest.mark.parametrize("n_sites", [model.MAX_SITES + 1, 10**9])
+def test_params_reject_chains_beyond_max_sites(n_sites):
+    with pytest.raises(ParameterError, match=f"1..{model.MAX_SITES} sites"):
+        ModelParams.create([0.0], 1.0, 1.0, n_sites=n_sites)
+    if n_sites == model.MAX_SITES + 1:
+        with pytest.raises(ParameterError, match=f"1..{model.MAX_SITES} sites"):
+            ModelParams.create([0.0] * n_sites, 1.0, 1.0)
+
+
 def test_with_sites_slices_and_pads():
     p = make_params(3)
     assert p.with_sites(2).theta == p.theta[:2]
@@ -69,7 +78,7 @@ def test_r_gl2_invariance(rng):
         q = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         if abs(np.linalg.det(q)) < 0.2:
             continue
-        assert linalg.commutator_norm(model.r_matrix(u), linalg.kron(q, q)) < 1e-13
+        assert linalg.commutator_norm(model.r_matrix(u), np.kron(q, q)) < 1e-13
 
 
 # --- K matrices -------------------------------------------------------------------
@@ -94,8 +103,8 @@ def test_k_plus_values(params_n1):
 def test_scalar_reflection_equation(params_n1, rng):
     def residual(k_fn, u, v):
         eye = np.eye(2)
-        k1 = linalg.kron(k_fn(u), eye)
-        k2 = linalg.kron(eye, k_fn(v))
+        k1 = np.kron(k_fn(u), eye)
+        k2 = np.kron(eye, k_fn(v))
         rm, rp = model.r_matrix(u - v), model.r_matrix(u + v)
         lhs = rm @ k1 @ rp @ k2
         rhs = k2 @ rp @ k1 @ rm
@@ -247,6 +256,32 @@ def test_hamiltonian_explicit_n2():
     vac = np.array([1, 0, 0, 0], dtype=complex)
     assert np.allclose(h @ vac, 3 * vac, atol=1e-14)
     assert 3.0 in set(np.round(np.linalg.eigvalsh(h.real + 0.0), 10))
+
+
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4])
+def test_hamiltonian_bulk_is_the_pauli_sum(n_sites):
+    # each bond sx sx + sy sy + sz sz, embedded by Kronecker products written
+    # here; the swap form 2P - 1 must give the same bits
+    p = make_params(n_sites, eta_plus=0.3 - 0.2j, eta_minus=-0.1 + 0.4j)
+    paulis = (
+        np.array([[0, 1], [1, 0]], dtype=complex),
+        np.array([[0, -1j], [1j, 0]], dtype=complex),
+        np.array([[1, 0], [0, -1]], dtype=complex),
+    )
+
+    def embed(op, site):
+        return np.kron(np.kron(np.eye(2 ** (site - 1)), op), np.eye(2 ** (n_sites - site)))
+
+    sz, sp, sm = paulis[2], model.SIGMA_PLUS, model.SIGMA_MINUS
+    expected = (embed(sz, 1) + p.xi_plus * embed(sp, 1) + p.xi_minus * embed(sm, 1)) / p.q
+    for site in range(1, n_sites):
+        for pauli in paulis:
+            expected = expected + embed(pauli, site) @ embed(pauli, site + 1)
+    n = n_sites
+    expected = expected + (
+        embed(sz, n) + p.eta_plus * embed(sp, n) + p.eta_minus * embed(sm, n)
+    ) / p.p
+    assert model.hamiltonian_matrix(p).tobytes() == expected.tobytes()
 
 
 def test_hamiltonian_commutes_with_transfer(rng):

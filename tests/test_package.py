@@ -1,9 +1,11 @@
 """The package's public surface and its documentation."""
 
 import csv
+import importlib.util
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,8 @@ import pytest
 import openxxx
 from openxxx import cli, config
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def test_star_import_resolves_every_export():
@@ -79,3 +82,17 @@ def test_stdout_carries_only_the_report(tmp_path, capsys, command, fmt):
         assert all(len(row) == len(rows[0]) for row in rows)
     summary = "suite: pass" if command == "verify" else f"{command}: "
     assert summary in captured.err
+
+
+def test_benchmark_workloads_run_and_check_clean(monkeypatch):
+    # perfbench/workloads.py calls the package by name; one pass of each
+    # workload (solve on its first instance only) must run and check clean
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    wl = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", wl)  # its dataclasses look it up
+    spec.loader.exec_module(wl)
+    insts = {w: wl.instances(w, 0) for w in wl.WORKLOADS}
+    insts["solve"] = [i for i in insts["solve"] if i.name == "n4-0"]
+    for workload in ("spectrum", "verify", "solve"):
+        tally = wl.check_pass(workload, wl.run_pass(workload, insts[workload]))
+        assert tally.attempted > 0 and tally.failed == 0, tally.notes
