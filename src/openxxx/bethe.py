@@ -327,6 +327,12 @@ def _curve_radius(params: ModelParams) -> float:
     return 1.9 + max((abs(t) for t in params.theta), default=0.0)
 
 
+def circle_nodes(params: ModelParams, k: int, offset: float = 0.0) -> np.ndarray:
+    """The ``k`` nodes CURVE_CENTER + radius exp(2 pi i (j + offset) / k); -1/2 is inside."""
+    phases = np.exp(2j * np.pi * (np.arange(k) + offset) / k)
+    return CURVE_CENTER + _curve_radius(params) * phases
+
+
 def _in_u(coeff_s: np.ndarray, radius: float) -> np.ndarray:
     """Recompose ascending coefficients in s = (u - CURVE_CENTER)/radius into u."""
     poly = np.polynomial.polynomial
@@ -352,8 +358,7 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     """
     k = 2 * params.n_sites + 3
     radius = _curve_radius(params)
-    phases = np.exp(2j * np.pi * np.arange(k) / k)
-    points = CURVE_CENTER + radius * phases
+    points = circle_nodes(params, k)
     samples = np.array([model.transfer_matrix(u, params) for u in points])
     coeff_mats = np.fft.fft(samples, axis=0) / k
     weights = np.array([1, 1j]) @ np.random.default_rng(_MIX_SEED).standard_normal((2, k))
@@ -377,16 +382,13 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
 def _tq_points(params: ModelParams):
     """The T-Q fit points u and the kernel's addends A, D, R at no roots there.
 
-    The 4N+8 points lie on the curve circle, half a step off its roots of
-    unity; points at a pole are dropped.  They depend on the model alone.
+    The 4N+8 points are circle nodes half a step off those of
+    ``dense_spectrum_curves``; they depend on the model alone.
     """
-    n_pts = 4 * params.n_sites + 8
-    phases = np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
-    u = CURVE_CENTER + _curve_radius(params) * phases
+    u = circle_nodes(params, 4 * params.n_sites + 8, offset=0.5)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, d, r = scalars.lambda_terms(u, (), params, params.rho)
-    keep = np.isfinite(a) & np.isfinite(d) & np.isfinite(r)
-    return u[keep], a[keep], d[keep], r[keep]
+    return u, a, d, r
 
 
 def curve_roots(
@@ -509,11 +511,12 @@ def _eigen_residual(rs: BetheRootSet, curve: Eigencurve, points, samples, params
 
     Both sides of t(u) phi = c(u) phi are polynomials of degree 2N+2 in u, so
     the 2N+3 samples of ``dense_spectrum_curves`` test the identity for all u.
+    A vanishing phi is no eigenvector: a zero scale gives inf.
     """
     phi = vectors.build_bethe_vector(rs, params)
     resid = np.linalg.norm(samples @ phi - curve(points)[:, None] * phi, axis=1)
     scale = np.linalg.norm(samples, axis=(1, 2)) * np.linalg.norm(phi)
-    return float(np.max(resid / np.maximum(scale, 1e-300)))
+    return float(np.max(resid / scale)) if scale.all() else np.inf
 
 
 def cover_spectrum(params: ModelParams, cfg: SolverConfig | None = None) -> CoverageResult:

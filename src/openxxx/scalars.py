@@ -283,25 +283,26 @@ def normalized_be_residual(roots, params: ModelParams) -> float:
 # --- root sets ----------------------------------------------------------------
 
 def root_guard_centers(params: ModelParams) -> tuple:
-    """Points no admissible Bethe root may approach.
-
-    0 and -1 are identically-vanishing points of BE_k (spurious attractors);
-    -1/2 is a pole of the residual; +-theta_j degenerate the vacuum factors.
-    u = -p and u = p-1 are no poles of Lambda or BE_k (the kernel cancels
-    them), so roots there are admissible.
-    """
-    centers = [0.0 + 0.0j, -1.0 + 0.0j, -0.5 + 0.0j]
-    for t in params.theta:
-        centers.extend((t, -t))
-    return tuple(centers)
+    """Points the random draws of ``verify`` keep clear of: 0, -1, -1/2 and +-theta_j."""
+    return (0.0 + 0.0j, -1.0 + 0.0j, -0.5 + 0.0j) + tuple(x for t in params.theta for x in (t, -t))
 
 
 def roots_admissible(roots, params: ModelParams) -> bool:
+    """Whether a root set clears the pole and degeneracy guards.
+
+    Each guarded point x stands for x and its reflection -x - 1.  No root
+    lies at 0, where BE_k vanishes identically, or at the pole -1/2.  No set
+    holds both theta_j and -theta_j, where prod_j (u^2 - theta_j^2) and
+    f(theta_j, -theta_j) make both BE_k vanish whatever the other roots are.
+    Roots at -p and p-1, which the kernel cancels, are admissible.
+    """
     lams = _root_values(roots)
-    centers = root_guard_centers(params)
-    for lam in lams:
-        if any(abs(lam - c) < POLE_EPS for c in centers):
-            return False
+
+    def holds(x) -> bool:
+        return any(abs(lam - x) < POLE_EPS or abs(lam + x + 1) < POLE_EPS for lam in lams)
+
+    if holds(0.0) or holds(-0.5) or any(holds(t) and holds(-t) for t in params.theta):
+        return False
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
             if abs(lams[i] - lams[j]) < ROOT_SEPARATION:

@@ -1,9 +1,12 @@
 """Named verification checks for every identity the model is built on.
 
 Each check evaluates one identity (an operator equation, a scalar identity,
-or an end-to-end spectral property) at randomly sampled spectral points and
-yields one relative residual per evaluated sample (several when a sample
-tests several identities).  The engine alone reduces them: the reported
+or an end-to-end spectral property) and yields one relative residual per
+evaluation (several when one evaluation tests several identities).  A
+one-variable polynomial identity of degree d is evaluated at d + 1 nodes of
+the curve circle, which tests it for all u; the on-shell checks read the
+spectrum cover, and the other identities are evaluated at randomly sampled
+spectral points.  The engine alone reduces them: the reported
 residual is the worst one, a non-finite sample makes it non-finite, and a
 check passes only when it yielded at least one residual and the worst is
 within tolerance.  Residuals are always normalized by the norms of the
@@ -18,6 +21,7 @@ index, chain length), so verdicts are bitwise reproducible.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import time
@@ -173,17 +177,17 @@ def _reflection_dressed(ctx: CheckContext) -> Iterator[float]:
 
 @_check("foundations.transfer_commute", sites=(1, 2, 3, 4), tol=1e-10)
 def _transfer_commute(ctx: CheckContext) -> Iterator[float]:
-    for _ in range(ctx.n_samples):
-        u, v = ctx.draw_point(), ctx.draw_point()
-        yield linalg.commutator_norm(
-            model.transfer_matrix(u, ctx.params), model.transfer_matrix(v, ctx.params)
-        )
+    """[t(u), t(v)]: degree 2N+2 in u and in v and zero at u = v, so pairs i < j of 2N+3 nodes."""
+    p = ctx.params
+    ts = [model.transfer_matrix(u, p) for u in bethe.circle_nodes(p, 2 * p.n_sites + 3)]
+    for t_u, t_v in itertools.combinations(ts, 2):
+        yield linalg.commutator_norm(t_u, t_v)
 
 
 @_check("foundations.trace_vs_entries", sites=(1, 2, 3), tol=1e-12)
 def _trace_vs_entries(ctx: CheckContext) -> Iterator[float]:
-    for _ in range(ctx.n_samples):
-        u = ctx.draw_point(centers=(-0.5,))
+    """Trace form against the entry recombination: degree 2N+3 with (2u+1) cleared."""
+    for u in bethe.circle_nodes(ctx.params, 2 * ctx.n_sites + 4):
         t_trace = model.transfer_matrix(u, ctx.params)
         t_entries = model.transfer_matrix_from_entries(u, ctx.params)
         yield linalg.rel_residual(t_trace - t_entries, linalg.frobenius(t_trace))
@@ -191,10 +195,10 @@ def _trace_vs_entries(ctx: CheckContext) -> Iterator[float]:
 
 @_check("foundations.vacuum_actions", sites=(1, 2, 3), tol=1e-12)
 def _vacuum_actions(ctx: CheckContext) -> Iterator[float]:
+    """A, D and C on the vacuum: degree 2N+2 with (2u+1) cleared."""
     p = ctx.params
     omega = model.pseudo_vacuum(p.n_sites)
-    for _ in range(ctx.n_samples):
-        u = ctx.draw_point(centers=(-0.5,))
+    for u in bethe.circle_nodes(p, 2 * p.n_sites + 3):
         a, _, c, d = model.entry_matrices(u, p)
         yield from (
             linalg.rel_residual(a @ omega - scalars.lambda1(u, p) * omega, linalg.frobenius(a)),
@@ -216,14 +220,13 @@ def _b_nilpotency(ctx: CheckContext) -> Iterator[float]:
 
 @_check("foundations.hamiltonian_commutes", sites=(1, 2, 3, 4), tol=1e-10)
 def _hamiltonian_commutes(ctx: CheckContext) -> Iterator[float]:
-    """[H, t(u)] = 0 for the homogeneous chain with eta+- = 0."""
+    """[H, t(u)] = 0 for the homogeneous chain with eta+- = 0: degree 2N+2."""
     p = ctx.params
     hom = ModelParams.create(
         (0.0,) * p.n_sites, p.p, p.q, p.xi_plus, p.xi_minus, branch=p.branch
     )
     h = model.hamiltonian_matrix(hom)
-    for _ in range(ctx.n_samples):
-        u = ctx.draw_point()
+    for u in bethe.circle_nodes(hom, 2 * p.n_sites + 3):
         yield linalg.commutator_norm(h, model.transfer_matrix(u, hom))
 
 
@@ -311,10 +314,10 @@ def _require_frame(ctx: CheckContext) -> vectors.RotatedFrame:
 
 @_check("rotated.k_plus_diagonalization", sites=(1,), tol=1e-12)
 def _rotated_kplus(ctx: CheckContext) -> Iterator[float]:
+    """Q^-1 K+(u) Q = D+(u): degree 1."""
     frame = _require_frame(ctx)
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        u = ctx.draw_point()
+    for u in bethe.circle_nodes(p, 2):
         kp = model.k_plus_matrix(u, p)
         lhs = frame.q_inverse @ kp @ frame.q_matrix
         yield linalg.rel_residual(lhs - frame.d_plus(u, p), linalg.frobenius(kp))
@@ -322,12 +325,12 @@ def _rotated_kplus(ctx: CheckContext) -> Iterator[float]:
 
 @_check("rotated.frame_vacuum_actions", sites=(1, 2, 3), tol=1e-10)
 def _rotated_vacuum(ctx: CheckContext) -> Iterator[float]:
+    """Abar and Dbar on the vacuum: degree 2N+2 with (2u+1) cleared."""
     frame = _require_frame(ctx)
     p = ctx.params
     omega = model.pseudo_vacuum(p.n_sites)
     c = p.c_ratio
-    for _ in range(ctx.n_samples):
-        u = ctx.draw_point(centers=(-0.5,))
+    for u in bethe.circle_nodes(p, 2 * p.n_sites + 3):
         abar, bbar, _, dbar = vectors.rotated_entry_matrices(u, p)
         bvac = bbar @ omega
         res_a = abar @ omega - frame.scale * scalars.lambda1(u, p) * omega + c * bvac
@@ -342,10 +345,10 @@ def _rotated_vacuum(ctx: CheckContext) -> Iterator[float]:
 
 @_check("rotated.transfer_from_frame", sites=(1, 2, 3), tol=1e-11)
 def _rotated_transfer(ctx: CheckContext) -> Iterator[float]:
+    """t(u) from the rotated entries: degree 2N+3 with (2u+1) cleared."""
     frame = _require_frame(ctx)
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        u = ctx.draw_point(centers=(-0.5,))
+    for u in bethe.circle_nodes(p, 2 * p.n_sites + 4):
         abar, _, _, dbar = vectors.rotated_entry_matrices(u, p)
         t_frame = (
             scalars.alpha_bar(u, p) * abar + scalars.delta_bar(u, p) * dbar
@@ -370,6 +373,7 @@ def offshell_residuals(params: ModelParams, roots, points) -> Iterator[float]:
 
     Bbar(lam_j), BE_k and the tails Bbar(lam_k+1)...Bbar(lam_M)|Omega> (Phi first) are built
     once; Phi_k is Bbar(lam_1)...Bbar(lam_k-1) Bbar(u) on tail k+1, as build_bethe_vector does.
+    A vanishing Phi certifies nothing: a zero scale gives inf.
     """
     lams = [complex(r) for r in roots]
     bbars, (phi, *tails) = vectors.bethe_vector_tails(lams, params)
@@ -382,7 +386,7 @@ def offshell_residuals(params: ModelParams, roots, points) -> Iterator[float]:
             phi_k = vectors.operator_tails(bbars[:k] + b_u, tails[k])[0]
             lhs = lhs - scalars.F_factor(u, lam) * be[k] * phi_k
         scale = linalg.frobenius(t) * float(np.linalg.norm(phi))
-        yield float(np.linalg.norm(lhs)) / max(scale, 1e-300)
+        yield float(np.linalg.norm(lhs)) / scale if scale else math.inf
 
 
 def offshell_residual(params: ModelParams, roots, u) -> float:
@@ -654,40 +658,15 @@ def _onshell_eigen(ctx: CheckContext) -> Iterator[float]:
 
 @_check("onshell.polynomiality", sites=(1, 2, 3), tol=1e-8)
 def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
-    """On shell, Lambda(u) interpolates a polynomial of the transfer-matrix degree."""
-    p = ctx.params
-    # the cover holds the certified root sets of every eigencurve
-    sets = _cached_cover(p, ctx.solver_cfg).root_sets
-    if not sets:
+    """On shell, Lambda(u) is its curve's polynomial of degree 2N+2; yields each match error.
+
+    Times (2u+1) the T-Q relation c Q(u) = A Q(u-1) + D Q(u+1) + R has degree
+    at most 4N+3, and the match tests it at 4N+8 nodes, so it holds for all u.
+    """
+    matches = [m for m in _cached_cover(ctx.params, ctx.solver_cfg).matches if m.matched]
+    if not matches:
         raise SkipCheck("no converged Bethe solutions to test")
-    degree = 2 * p.n_sites + 2
-    n_fit = degree + 3  # 2N+5 sample points
-    for rs in sets:
-        # interpolation circle, nudged until clear of the eigenvalue poles
-        for attempt in range(50):
-            radius = 1.45 + 0.08 * attempt
-            pts = bethe.CURVE_CENTER + radius * np.exp(
-                2j * np.pi * (np.arange(n_fit) + 0.3) / n_fit
-            )
-            guards = [g for lam in rs.roots for g in (lam, -lam - 1)]
-            guards.append(-0.5)
-            if all(abs(pt - g) > 1e-2 for pt in pts for g in guards):
-                break
-        else:
-            raise SkipCheck("could not place interpolation circle away from poles")
-        vals = np.array([scalars.eigenvalue_Lambda(pt, rs, p) for pt in pts])
-        phases = (pts - bethe.CURVE_CENTER) / radius
-        coeff, *_ = np.linalg.lstsq(np.vander(phases, degree + 1, increasing=True), vals, rcond=None)
-        # deviation measured at interleaved probe points, not the fit points
-        probes = bethe.CURVE_CENTER + radius * np.exp(
-            2j * np.pi * (np.arange(n_fit) + 0.8) / n_fit
-        )
-        scale = max(1.0, float(np.abs(vals).max()))
-        for pt in probes:
-            if any(abs(pt - g) <= 1e-2 for g in guards):
-                continue
-            fit_val = np.polynomial.polynomial.polyval((pt - bethe.CURVE_CENTER) / radius, coeff)
-            yield abs(scalars.eigenvalue_Lambda(pt, rs, p) - fit_val) / scale
+    yield from (m.match_error for m in matches)
 
 
 # --- engine ------------------------------------------------------------------------------
@@ -768,8 +747,10 @@ def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
     so a non-finite sample fails the check, and a check that evaluated no
     samples fails instead of passing vacuously.  A package error raised inside
     the check fails it alone, with the error as its reason and no residual.
+    ``n_samples`` counts the residuals the check yielded: 0 when it raised.
     """
     start = time.perf_counter()
+    values: list[float] = []
     residual: float | None = None
     reason: str | None = None
     try:
@@ -789,7 +770,7 @@ def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
     return CheckOutcome(
         name=name,
         n_sites=ctx.n_sites,
-        n_samples=ctx.n_samples,
+        n_samples=len(values),
         residual=residual,
         tol=ctx.tol,
         verdict=verdict,

@@ -191,8 +191,12 @@ def test_certify_of_no_rows_makes_no_kernel_call(params_n3, monkeypatch):
 
 def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
     for params in (params_n1, params_n2):
-        curves, _, _ = bethe.dense_spectrum_curves(params)
+        curves, points, _ = bethe.dense_spectrum_curves(params)
         assert len(curves) == params.dim
+        # the samples sit at the 2N+3 circle nodes, bitwise as this formula places them
+        k, radius = 2 * params.n_sites + 3, 1.9 + max(abs(t) for t in params.theta)
+        first = bethe.CURVE_CENTER + radius * np.exp(2j * np.pi * np.arange(k) / k)
+        assert np.array_equal(points, first)
         for u in (0.37 + 0.81j, -1.24 + 0.33j):
             total = sum(c(u) for c in curves)
             tr = np.trace(model.transfer_matrix(u, params))
@@ -217,13 +221,17 @@ def test_cover_spectrum_generic_n2(params_n2):
         assert res < 1e-8
 
 
-def test_eigen_residual_rejects_a_vector_paired_with_another_curve(params_n2):
+def test_eigen_residual_rejects_a_vector_paired_with_another_curve(params_n2, monkeypatch):
     curves, points, samples = bethe.dense_spectrum_curves(params_n2)
     cover = bethe.cover_spectrum(params_n2, SolverConfig(seed=11))
     m = cover.matches[0]
     own = bethe._eigen_residual(m.matched_roots, m.curve, points, samples, params_n2)
     other = bethe._eigen_residual(m.matched_roots, curves[1], points, samples, params_n2)
     assert own <= 1e-8 and other > 1e-3
+    # nor does a vanishing vector certify its curve
+    monkeypatch.setattr(vectors, "build_bethe_vector", lambda rs, p: np.zeros(p.dim, complex))
+    zero = bethe._eigen_residual(m.matched_roots, m.curve, points, samples, params_n2)
+    assert zero == np.inf
 
 
 def test_cover_spectrum_diagonal_sectors():

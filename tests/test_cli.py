@@ -486,3 +486,10 @@ def test_cmd_verify_default_config_all_pass(tmp_path, capsys):
     assert gating and all(c["verdict"] == "pass" for c in gating)
     names = {c["name"] for c in report["checks"]}
     assert "spectrum.completeness" in names and "offshell.n4_probe" in names
+
+
+def test_cmd_verify_passes_at_a_fusion_point(tmp_path):
+    # theta_2 - theta_1 = 1: at N = 2 and 3 some eigencurves have a root at
+    # +-theta_j, and the cover must match them
+    doc = {"model": {"n_sites": 2, "theta": [0.3, 1.3]}}
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 0

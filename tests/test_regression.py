@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from openxxx import bethe, config, scalars, verify
+from openxxx.model import ModelParams
 
 COVER_N2 = (4, [
     ((1.6751567096460436-0.5637779443710669j), (-44.90142499720444+21.796994827976977j), (77.98120595404201-5.603799252290188j)),
@@ -100,6 +101,28 @@ def test_cover_spectrum_n5_draw_with_roots_at_minus_p():
     cover = bethe.cover_spectrum(params, bethe.SolverConfig())
     assert cover.matched_count == 32
     assert cover.max_eigen_residual <= 1e-7
+
+
+@pytest.mark.parametrize("boundary", [
+    {}, {"xi_minus": 0.0}, {"xi_plus": 0.0, "xi_minus": 0.0},
+], ids=["generic", "triangular", "diagonal"])
+@pytest.mark.parametrize("theta, matched", [
+    ((0.3, 1.3), 4),
+    ((0.1 + 0.2j, 1.1 + 0.2j), 4),
+    ((0.2, 1.2, 2.2), 8),
+    ((0.3, 1.3, -0.4, 0.6), 16),
+    ((0.5, -0.5), 3),
+])
+def test_cover_spectrum_at_fusion_points(theta, matched, boundary):
+    # fusion points theta_i - theta_j = 1: genuine eigenstates have a root at
+    # +-theta_j, and only a set holding both theta_j and -theta_j is spurious;
+    # theta = (0.5, -0.5), where one curve stays unmatched, is pinned as it is
+    m = config.default_config().model
+    params = ModelParams.create(theta, m.p, m.q, m.xi_plus, m.xi_minus)
+    params = params.replace_couplings(**boundary)
+    cover = bethe.cover_spectrum(params, config.default_config().solver)
+    assert cover.matched_count == matched
+    assert cover.max_eigen_residual <= 1e-8
 
 
 def test_cover_spectrum_triangular_n3_keeps_only_matched_sets():

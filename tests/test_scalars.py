@@ -257,7 +257,12 @@ def test_roots_admissible_guards(params_n2):
     assert not scalars.roots_admissible((0.4 + 0.2j, -1.4 - 0.2j), params_n2)
     # guard centers; -p is no pole of Lambda or BE_k, so a root there is admissible
     assert scalars.roots_admissible((-params_n2.p, 0.4 + 0.2j), params_n2)
-    assert not scalars.roots_admissible((params_n2.theta[0], 0.4 + 0.2j), params_n2)
+    # a lone root at theta_j is admissible; theta_j with -theta_j, or with its
+    # reflection theta_j - 1, makes both BE_k vanish identically
+    t = params_n2.theta[0]
+    assert scalars.roots_admissible((t, 0.4 + 0.2j), params_n2)
+    assert not scalars.roots_admissible((t, -t), params_n2)
+    assert not scalars.roots_admissible((t, t - 1), params_n2)
 
 
 def test_signatures_and_probes(params_n2):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxx import linalg, model, scalars, vectors, verify
+from openxxx import bethe, linalg, model, scalars, vectors, verify
 from openxxx.bethe import SolverConfig
 from openxxx.errors import OpenXXXError
 from openxxx.model import ModelParams
@@ -178,7 +178,7 @@ def test_engine_fails_a_check_with_no_samples(params_n2):
     outcome = _engine_outcome(params_n2, lambda ctx: iter(()))
     assert (outcome.verdict, outcome.residual) == ("fail", None)
     assert outcome.reason == "no samples evaluated"
-    assert outcome.n_samples == 3
+    assert outcome.n_samples == 0
 
 
 def test_engine_fails_a_check_with_a_nan_sample(params_n2):
@@ -186,6 +186,45 @@ def test_engine_fails_a_check_with_a_nan_sample(params_n2):
     assert outcome.verdict == "fail" and np.isnan(outcome.residual)
     outcome = _engine_outcome(params_n2, lambda ctx: iter((1e-12, 0.0)))
     assert (outcome.verdict, outcome.residual) == ("pass", 1e-12)
+
+
+# --- checks on circle nodes -----------------------------------------------------------------
+
+# Residuals each node check yields at N sites: one per node (2 per node for the
+# rotated vacuum, 3 for the vacuum), and one per pair of nodes for [t(u), t(v)].
+NODE_CHECK_YIELDS = {
+    "foundations.transfer_commute": lambda n: (2 * n + 3) * (2 * n + 2) // 2,
+    "foundations.trace_vs_entries": lambda n: 2 * n + 4,
+    "foundations.vacuum_actions": lambda n: 3 * (2 * n + 3),
+    "foundations.hamiltonian_commutes": lambda n: 2 * n + 3,
+    "rotated.k_plus_diagonalization": lambda n: 2,
+    "rotated.frame_vacuum_actions": lambda n: 2 * (2 * n + 3),
+    "rotated.transfer_from_frame": lambda n: 2 * n + 4,
+}
+
+
+def test_node_checks_depend_on_neither_seed_nor_sample_count(params_n2):
+    reports = [
+        verify.run_suite(params_n2, checks=list(NODE_CHECK_YIELDS), seed=seed, n_samples=n)
+        for seed in (0, 1234) for n in (1, 10)
+    ]
+    first = reports[0].checks
+    for report in reports[1:]:
+        assert [(c.name, c.n_sites, c.residual) for c in report.checks] == [
+            (c.name, c.n_sites, c.residual) for c in first
+        ]
+    for c in first:
+        assert c.verdict == "pass"
+        assert c.n_samples == NODE_CHECK_YIELDS[c.name](c.n_sites)
+
+
+def test_polynomiality_yields_the_match_errors(params_n2):
+    cfg = SolverConfig(seed=6)
+    ctx = verify.CheckContext(params_n2, 2, np.random.default_rng(0), 1, 1e-8, cfg)
+    residuals = list(verify.registry()["onshell.polynomiality"].fn(ctx))
+    cover = bethe.cover_spectrum(params_n2, cfg)
+    assert residuals == [m.match_error for m in cover.matches if m.matched]
+    assert len(residuals) == 4
 
 
 # --- off-shell residuals: bitwise pin and monodromy build count ---------------------------
@@ -225,6 +264,18 @@ def test_offshell_residuals_bitwise_equal_per_point_reference(monkeypatch, n_sit
     assert len(built) == (m + len(OFFSHELL_POINTS) if m else 0)  # no Bbar(u) without roots
     for u, res in zip(OFFSHELL_POINTS, expected):
         assert verify.offshell_residual(params, lams, u) == res
+
+
+def test_offshell_residual_of_a_vanishing_vector_is_inf(monkeypatch, params_n2):
+    tails = vectors.bethe_vector_tails
+
+    def zero_tails(lams, params):
+        bbars, vecs = tails(lams, params)
+        return bbars, [np.zeros_like(v) for v in vecs]
+
+    monkeypatch.setattr(vectors, "bethe_vector_tails", zero_tails)
+    residuals = list(verify.offshell_residuals(params_n2, OFFSHELL_ROOTS[:2], OFFSHELL_POINTS))
+    assert residuals == [float("inf")] * len(OFFSHELL_POINTS)
 
 
 def test_offshell_builds_m_plus_two_monodromies_per_point(monkeypatch, params_n2):
