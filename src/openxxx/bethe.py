@@ -10,7 +10,8 @@ The blind multistart ``solve_bethe`` feeds it random starts drawn around the
 reflection-symmetric point -1/2.  Every search finishes the same way: the BE
 residual is recomputed from scratch, and converged solutions are
 canonicalized under the lambda -> -lambda - 1 reflection, filtered against
-pole and degeneracy guards, and deduplicated by their eigenvalue signature.
+pole and degeneracy guards, and merged by their Baxter polynomial
+Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1), which names the eigenstate.
 
 Completeness works curve first.  The eigenvalue curves of t(u) come from one
 eigenbasis of the commuting family sampled on a circle, the Bethe roots of
@@ -92,9 +93,6 @@ def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     normalization for convergence tests.
     """
     lam = np.asarray(lam, dtype=complex)
-    squeeze = lam.ndim == 1
-    if squeeze:
-        lam = lam[None, :]
     n = lam.shape[1]
     # others[i, k] is the i-th root other than root k, laid out (M-1, M, batch)
     # so each step of the kernel's product runs over contiguous memory
@@ -104,8 +102,6 @@ def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarr
         t1, t2, t3 = scalars.be_terms(lam_t, lam_t[others], params, params.rho)
     be = (t1 + t2 + t3).T
     scale = np.maximum(np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3)), 1.0).T
-    if squeeze:
-        return be[0], scale[0]
     return be, scale
 
 
@@ -114,17 +110,6 @@ def _be_residual(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.n
     be, scale = be_batch(lam, params)
     merit = (np.abs(be) / scale).max(axis=1)
     return be, np.where(np.isfinite(merit), merit, np.inf)
-
-
-def eigenvalue_lambda_grid(points, lam: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Eigenvalue formula on a (batch, M) array of root sets at several points.
-
-    Returns shape (batch, n_points).
-    """
-    u = np.asarray(points, dtype=complex)[None, :]
-    roots = np.asarray(lam, dtype=complex).T[:, :, None]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return sum(scalars.lambda_terms(u, roots, params, params.rho))
 
 
 # --- the solver driver ------------------------------------------------------------
@@ -241,10 +226,10 @@ def solve_bethe(
 ) -> list[BetheRootSet]:
     """Find sets of N Bethe roots (the general ansatz) by multistart damped Newton.
 
-    Returns deduplicated solutions sorted by signature; an empty list is a
-    legal outcome.  A ``stats`` dict, if given, is filled with
-    start/convergence/discard counters.  Deterministic for fixed (params, cfg)
-    including the seed.
+    Returns one set per solution, merged by Q(u) and sorted by roots (see
+    ``_certify``); an empty list is a legal outcome.  A ``stats`` dict, if
+    given, is filled with start/convergence/discard counters.  Deterministic
+    for fixed (params, cfg) including the seed.
     """
     cfg = cfg or SolverConfig()
     if stats is None:
@@ -262,19 +247,24 @@ def solve_bethe(
     return found
 
 
-def _vacuum_set(params: ModelParams) -> BetheRootSet:
-    """The root set with no roots (the M = 0 sector)."""
-    sig = scalars.make_signature((), params, scalars.select_signature_probes([()]))
-    return BetheRootSet((), 0.0, "newton", sig)
+# Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1) at these points names a root
+# set up to permutation and reflection; two sets are one solution when their
+# values agree to _MERGE_TOL relative.  Lambda(u) has poles at the roots, so
+# points for it must be chosen clear of them; Q is a polynomial with no poles,
+# so fixed points serve every set.
+_MERGE_POINTS = np.array([0.3, 1.1 + 0.7j, -2.4])
+_MERGE_TOL = 1e-6
 
 
 def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | None = None):
-    """Turn the rows a solve converged on into deduplicated Bethe root sets.
+    """Turn the rows a solve converged on into one Bethe root set per solution.
 
     The BE residual is recomputed from scratch, never assumed from the
-    iteration; rows within ``tol`` are canonicalized under the reflection,
-    filtered by the pole and degeneracy guards and deduplicated by eigenvalue
-    signature.  Returns the sets sorted by signature.
+    iteration; rows within ``tol`` are canonicalized under the reflection and
+    filtered by the pole and degeneracy guards.  Taken in order of residual, a
+    row joins the first kept set whose Q values at ``_MERGE_POINTS`` it
+    matches, so each solution keeps its lowest-residual row.  Returns the sets
+    sorted by their canonical roots.
     """
     final_res = _be_residual(lam, params)[1] if len(lam) else np.empty(0)
     hits = np.nonzero(final_res <= tol)[0]
@@ -286,16 +276,20 @@ def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | Non
     n_guarded = hits.size - len(candidates)
     if n_guarded:
         log.debug("discarded %d converged runs at guarded/degenerate roots", n_guarded)
-    unique: list[BetheRootSet] = []
-    if candidates:
-        probes = scalars.select_signature_probes([c[0] for c in candidates])
-        sigs = eigenvalue_lambda_grid(probes, np.array([c[0] for c in candidates]), params)
-        tagged = sorted(
-            zip(map(tuple, sigs), candidates), key=lambda t: tuple((z.real, z.imag) for z in t[0])
+    candidates.sort(key=lambda c: c[1])
+    roots = np.array([c[0] for c in candidates], dtype=complex).reshape(-1, lam.shape[1], 1)
+    q = np.prod((_MERGE_POINTS - roots) * (_MERGE_POINTS + roots + 1), axis=1)
+    kept: list[int] = []
+    for i in range(len(candidates)):
+        close = np.abs(q[kept] - q[i]) <= _MERGE_TOL * np.maximum(
+            1.0, np.maximum(np.abs(q[kept]), np.abs(q[i]))
         )
-        for sig, (roots, res) in tagged:
-            if not any(scalars.signatures_match(sig, u.signature) for u in unique):
-                unique.append(BetheRootSet(roots, res, "newton", sig))
+        if not close.all(axis=1).any():
+            kept.append(i)
+    unique = sorted(
+        (BetheRootSet(*candidates[i]) for i in kept),
+        key=lambda rs: tuple((z.real, z.imag) for z in rs.roots),
+    )
     if stats is not None:
         stats.update(converged=int(hits.size), discarded_guarded=n_guarded, unique=len(unique))
     return unique
@@ -407,7 +401,7 @@ def curve_roots(
     gives the empty set.
     """
     if m == 0:
-        return [_vacuum_set(params)]
+        return [BetheRootSet((), 0.0)]
     u, a, d, r = _tq_points(params)
     powers = np.arange(m + 1)
     rows = (

@@ -140,8 +140,6 @@ def cmd_solve(cfg: RunConfig):
             {
                 "roots": [from_complex(r) for r in rs.roots],
                 "residual_norm": rs.residual_norm,
-                "source": rs.source,
-                "signature": [from_complex(s) for s in rs.signature],
             }
             for rs in sets
         ],
@@ -173,8 +171,8 @@ def cmd_spectrum(cfg: RunConfig):
                 "excitations": m.excitations,
                 "match_error": _finite_or_none(m.match_error),
                 "eigen_residual": _finite_or_none(m.eigen_residual),
-                "signature": (
-                    [from_complex(s) for s in m.matched_roots.signature] if m.matched else None
+                "roots": (
+                    [from_complex(r) for r in m.matched_roots.roots] if m.matched else None
                 ),
             }
             for m in cover.matches

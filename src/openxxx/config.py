@@ -193,6 +193,8 @@ def parse_config_dict(doc: dict) -> RunConfig:
         not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks)
     ):
         raise ConfigError('checks: expected "all" or a non-empty list of check names')
+    if checks != "all" and len(set(checks)) < len(checks):
+        raise ConfigError(f"checks: a check name is repeated in {checks}")
     fmt = doc.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format: expected json|csv, got {fmt!r}")

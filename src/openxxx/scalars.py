@@ -21,20 +21,6 @@ from operator import mul
 from .errors import ParameterError, PoleError
 from .model import POLE_EPS, ModelParams
 
-# Probe points at which Lambda is evaluated to fingerprint a root set for
-# deduplication, plus fallbacks used when a probe collides with a pole.
-SIGNATURE_PROBES = (0.3 + 0.0j, 1.1 + 0.7j, -2.4 + 0.0j)
-FALLBACK_PROBES = (
-    0.77 + 0.23j,
-    -1.9 + 1.3j,
-    2.6 - 0.41j,
-    0.15 - 1.2j,
-    3.3 + 0.9j,
-    -0.85 + 2.1j,
-    1.9 + 1.9j,
-    -3.1 - 0.7j,
-)
-
 # Separation below which two roots (or a root and a reflection partner) are
 # considered degenerate and the set is rejected.
 ROOT_SEPARATION = 1e-8
@@ -312,62 +298,21 @@ def roots_admissible(roots, params: ModelParams) -> bool:
     return True
 
 
-def select_signature_probes(root_sets) -> tuple:
-    """First probes of ``SIGNATURE_PROBES + FALLBACK_PROBES`` clear of every set's
-    eigenvalue poles, as many as ``SIGNATURE_PROBES`` holds."""
-    margin = 1e-4  # wider than the pole guard so Lambda stays well conditioned
-    count = len(SIGNATURE_PROBES)
-    chosen = []
-    for probe in SIGNATURE_PROBES + FALLBACK_PROBES:
-        factors = [2 * probe + 1]
-        for rs in root_sets:
-            for lam in _root_values(rs):
-                factors += (probe - lam, probe + lam + 1)
-        if min(abs(f) for f in factors) > margin:
-            chosen.append(probe)
-            if len(chosen) == count:
-                return tuple(chosen)
-    raise ParameterError(f"could not find {count} pole-free probes")
-
-
-def make_signature(roots, params: ModelParams, probes=SIGNATURE_PROBES) -> tuple:
-    return tuple(eigenvalue_Lambda(pt, roots, params) for pt in probes)
-
-
-def signatures_match(a, b, tol: float = 1e-6) -> bool:
-    return all(
-        abs(x - y) <= tol * max(1.0, abs(x), abs(y)) for x, y in zip(a, b)
-    )
-
-
 @dataclass(frozen=True, slots=True)
 class BetheRootSet:
-    """A solution candidate for the Bethe equations.
-
-    ``signature`` is Lambda evaluated at fixed probe points: permutation- and
-    reflection-invariant, so it identifies the physical solution class.
-    """
+    """A solution of the Bethe equations and its normalized BE residual."""
 
     roots: tuple
     residual_norm: float
-    source: str
-    signature: tuple
 
     def __post_init__(self):
-        if self.source not in ("newton", "manual"):
-            raise ParameterError(f"unknown root source {self.source!r}")
         object.__setattr__(self, "roots", tuple(complex(r) for r in self.roots))
-        object.__setattr__(self, "signature", tuple(complex(s) for s in self.signature))
         if not _finite(self.roots) or not math.isfinite(self.residual_norm):
             raise ParameterError("root set contains non-finite values")
 
     @property
     def n_roots(self) -> int:
         return len(self.roots)
-
-    def validate(self, params: ModelParams) -> None:
-        if not roots_admissible(self.roots, params):
-            raise ParameterError("root set violates separation or pole guards")
 
 
 def _finite(values) -> bool:

@@ -15,8 +15,9 @@ fixes stable check names, the chain lengths each check runs at, its
 tolerance, and whether it gates the suite (the length-4 off-shell probe is
 recorded as experimental evidence only).
 
-Determinism: every check derives its random stream from (suite seed, check
-index, chain length), so verdicts are bitwise reproducible.
+Determinism: every check derives its random stream from (suite seed, the
+check's position in the registry, chain length), so verdicts are bitwise
+reproducible, and a check run alone draws what it draws in the full suite.
 """
 
 from __future__ import annotations
@@ -726,8 +727,10 @@ def run_suite(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     solver_cfg = solver_cfg or SolverConfig(seed=seed)
+    position = {name: i for i, name in enumerate(_REGISTRY)}
     outcomes = []
-    for idx, cdef in enumerate(select_checks(checks)):
+    for cdef in select_checks(checks):
+        idx = position[cdef.name]
         for n in cdef.sites:
             if max_sites is not None and n > max_sites:
                 continue

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from openxxx import cli, config
+from openxxx import bethe, cli, config
 from openxxx.errors import ConfigError
 from openxxx.model import MAX_SITES
 
@@ -223,6 +223,7 @@ def test_cmd_verify_unknown_check(tmp_path):
     {"n_samples": 0},
     {"solver": {"damping": 1.0}},  # no longer a key, even at its old default
     {"checks": []},  # would pass on zero evaluated checks
+    {"checks": FAST_CHECKS[:1] * 2},  # would run the check twice
 ])
 def test_cmd_verify_rejects_invalid_solver_and_sample_settings(tmp_path, capsys, patch):
     doc = {**BASE_DOC, "checks": FAST_CHECKS[:1], **patch}
@@ -252,6 +253,28 @@ def test_cmd_solve_deterministic(tmp_path):
     for rs in doc["root_sets"]:
         assert rs["residual_norm"] <= 1e-10
         assert len(rs["roots"]) == 2
+
+
+@pytest.mark.parametrize("theta", [BASE_DOC["model"]["theta"], [[0.5, 0.0], [-0.5, 0.0]]],
+                         ids=["all-matched", "one-unmatched"])
+def test_json_root_sets_are_roots_and_residual(tmp_path, theta):
+    # a solve set is its roots and residual; a spectrum curve carries its
+    # matched set's roots, or null (at the fusion point one curve is unmatched)
+    doc = {**BASE_DOC, "model": {**BASE_DOC["model"], "theta": theta}}
+    cfg_path = write_config(tmp_path, doc)
+    solve_out, spec_out = tmp_path / "solve.json", tmp_path / "spec.json"
+    assert cli.main(["solve", "--config", cfg_path, "--out", str(solve_out)]) == 0
+    assert cli.main(["spectrum", "--config", cfg_path, "--out", str(spec_out)]) == 0
+    sets = json.loads(solve_out.read_text())["root_sets"]
+    assert sets and all(set(rs) == {"roots", "residual_norm"} for rs in sets)
+    cfg = config.parse_config(cfg_path)
+    cover = bethe.cover_spectrum(cfg.model, cfg.solver)
+    curves = json.loads(spec_out.read_text())["curves"]
+    assert [c["roots"] for c in curves] == [
+        [[r.real, r.imag] for r in m.matched_roots.roots] if m.matched else None
+        for m in cover.matches
+    ]
+    assert (None in [c["roots"] for c in curves]) == (cover.unmatched_count > 0)
 
 
 def test_cmd_solve_empty_is_exit_zero(tmp_path, capsys):

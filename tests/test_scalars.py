@@ -265,24 +265,11 @@ def test_roots_admissible_guards(params_n2):
     assert not scalars.roots_admissible((t, t - 1), params_n2)
 
 
-def test_signatures_and_probes(params_n2):
-    roots = (0.43 + 0.77j, -0.21 - 0.53j)
-    probes = scalars.select_signature_probes([roots])
-    sig = scalars.make_signature(roots, params_n2, probes)
-    # permutation and reflection invariance of the signature
-    sig_perm = scalars.make_signature(roots[::-1], params_n2, probes)
-    sig_refl = scalars.make_signature((roots[0], -roots[1] - 1), params_n2, probes)
-    assert scalars.signatures_match(sig, sig_perm)
-    assert scalars.signatures_match(sig, sig_refl)
-    other = scalars.make_signature((0.9 - 0.4j, -0.3 + 0.8j), params_n2, probes)
-    assert not scalars.signatures_match(sig, other)
-
-
-def test_root_set_invariants(params_n2):
-    rs = scalars.BetheRootSet((0.43 + 0.77j,), 1e-12, "newton", (1.0, 2.0, 3.0))
-    rs.validate(params_n2)
+def test_root_set_invariants():
+    rs = scalars.BetheRootSet([0.43 + 0.77j, 2], 1e-12)
+    assert rs.roots == (0.43 + 0.77j, 2 + 0j) and rs.n_roots == 2
+    assert all(type(r) is complex for r in rs.roots)
     with pytest.raises(ParameterError):
-        scalars.BetheRootSet((0.1,), 0.0, "guess", (1.0,))
-    bad = scalars.BetheRootSet((0.0,), 0.0, "manual", (1.0,))
+        scalars.BetheRootSet((complex("nan"),), 0.0)
     with pytest.raises(ParameterError):
-        bad.validate(params_n2)
+        scalars.BetheRootSet((0.1,), float("inf"))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxx import bethe, linalg, model, scalars, vectors, verify
+from openxxx import bethe, config, linalg, model, scalars, vectors, verify
 from openxxx.bethe import SolverConfig
 from openxxx.errors import OpenXXXError
 from openxxx.model import ModelParams
@@ -52,6 +52,17 @@ def test_suite_deterministic_residuals(params_n2):
     b = verify.run_suite(params_n2, checks=FAST_CHECKS, seed=9, n_samples=3)
     assert [c.verdict for c in a.checks] == [c.verdict for c in b.checks]
     assert [c.residual for c in a.checks] == [c.residual for c in b.checks]
+
+
+def test_a_check_run_alone_reproduces_its_full_suite_outcome():
+    # each check seeds its draws from its registry position, so the checks
+    # selected alongside it do not change what it draws
+    params = config.default_config().model
+    full = verify.run_suite(params, seed=3, n_samples=3, max_sites=2)
+    for name in verify.check_names():
+        alone = verify.run_suite(params, checks=[name], seed=3, n_samples=3, max_sites=2)
+        key = [(c.n_sites, c.verdict, c.residual) for c in alone.checks]
+        assert key == [(c.n_sites, c.verdict, c.residual) for c in full.by_name(name)], name
 
 
 def test_rotated_checks_skip_without_frame():
