@@ -37,12 +37,9 @@ from .scalars import (
     structure_fn,
 )
 from .vectors import (
-    CoefficientTable,
     RotatedFrame,
     b_bar_matrix,
     build_bethe_vector,
-    extract_V,
-    extract_W,
     partition_Z,
     rotated_entry_matrices,
 )
@@ -59,7 +56,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BetheRootSet",
-    "CoefficientTable",
     "CoverageResult",
     "Eigencurve",
     "F_factor",
@@ -79,8 +75,6 @@ __all__ = [
     "dense_spectrum_curves",
     "eigenvalue_Lambda",
     "entry_matrices",
-    "extract_V",
-    "extract_W",
     "hamiltonian_matrix",
     "k_minus_matrix",
     "k_plus_matrix",

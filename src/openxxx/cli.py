@@ -78,10 +78,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"output_path: {out} is a directory")
         if not out.parent.is_dir():
             raise ConfigError(f"output_path: no directory {out.parent}")
-    if cfg.checks != "all":
-        unknown = [c for c in cfg.checks if c not in verify.registry()]
-        if unknown:
-            raise ConfigError(f"checks: unknown check names {unknown}")
     if args.command == "sweep":
         if cfg.sweep is None:
             raise ConfigError("sweep command requires a sweep section in the config")

@@ -16,6 +16,7 @@ from pathlib import Path
 from .bethe import SolverConfig
 from .errors import ConfigError
 from .model import MAX_SITES, ModelParams
+from .verify import check_names
 
 DEFAULT_SEED = 1234
 
@@ -193,8 +194,12 @@ def parse_config_dict(doc: dict) -> RunConfig:
         not isinstance(checks, list) or not checks or not all(isinstance(c, str) for c in checks)
     ):
         raise ConfigError('checks: expected "all" or a non-empty list of check names')
-    if checks != "all" and len(set(checks)) < len(checks):
-        raise ConfigError(f"checks: a check name is repeated in {checks}")
+    if checks != "all":
+        if len(set(checks)) < len(checks):
+            raise ConfigError(f"checks: a check name is repeated in {checks}")
+        unknown = [c for c in checks if c not in check_names()]
+        if unknown:
+            raise ConfigError(f"checks: unknown check names {unknown}")
     fmt = doc.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ConfigError(f"format: expected json|csv, got {fmt!r}")

@@ -21,10 +21,6 @@ class FrameUnavailableError(OpenXXXError):
     """The rotated (diagonalized left boundary) frame does not exist for these couplings."""
 
 
-class DegenerateBasisError(OpenXXXError):
-    """A coefficient-extraction basis is numerically rank deficient."""
-
-
 class ContractionError(OpenXXXError):
     """A lowering-operator string left weight outside the expected sector."""
 

@@ -33,7 +33,18 @@ def embed_site(op2, site: int, n_sites: int) -> np.ndarray:
 
 
 def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
+    """Frobenius norm, finite whenever it is representable.
+
+    The plain norm squares the entries, so finite entries above ~1e154 overflow
+    it to inf; those are rescaled by their largest real or imaginary part.
+    """
+    a = np.asarray(a)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if norm == np.inf and np.isfinite(a).all():
+        big = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
+        norm = big * float(np.linalg.norm(a / big))
+    return norm
 
 
 def commutator_norm(a, b) -> float:
@@ -49,4 +60,4 @@ def rel_residual(diff, *scales) -> float:
     denom = 1.0
     for s in scales:
         denom *= float(s)
-    return float(np.linalg.norm(np.asarray(diff))) / max(denom, 1.0)
+    return frobenius(diff) / max(denom, 1.0)

@@ -142,16 +142,32 @@ def test_cmd_verify_fails_on_non_finite_residuals(tmp_path):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cmd_verify_contains_a_named_error_to_its_check(tmp_path):
-    # on this model golden.w_n2 raises DegenerateBasisError; it fails that
+    # on this model spectrum.completeness raises TrackingError; it fails that
     # check alone, and every other outcome is still written
     out = tmp_path / "report.json"
     doc = {"model": {"p": [1e160, 0.0]}, "output_path": str(out)}
     assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 1
     report = json.loads(out.read_text())
     assert len(report["checks"]) == 72
-    (w_n2,) = [c for c in report["checks"] if (c["name"], c["n_sites"]) == ("golden.w_n2", 2)]
-    assert w_n2["verdict"] == "fail" and w_n2["residual"] is None
-    assert w_n2["reason"].startswith("DegenerateBasisError: ")
+    (entry,) = [
+        c for c in report["checks"] if (c["name"], c["n_sites"]) == ("spectrum.completeness", 2)
+    ]
+    assert entry["verdict"] == "fail" and entry["residual"] is None
+    assert entry["reason"].startswith("TrackingError: ")
+
+
+def test_cmd_verify_at_the_fusion_point_fails_only_the_unmatched_curve(tmp_path):
+    # theta = (0.5, -0.5): one eigenstate's root sits at the pole -1/2 and its
+    # curve stays unmatched; the golden W and V identities hold there
+    out = tmp_path / "report.json"
+    doc = {"model": {"n_sites": 2, "theta": [0.5, -0.5]}, "output_path": str(out)}
+    assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 1
+    report = json.loads(out.read_text())
+    failed = sorted((c["name"], c["n_sites"]) for c in report["checks"] if c["verdict"] != "pass")
+    assert failed == [
+        ("onshell.eigen_residual", 2), ("onshell.eigen_residual", 3),
+        ("spectrum.completeness", 2), ("spectrum.completeness", 3),
+    ]
 
 
 @pytest.mark.parametrize("config_text", [None, "{not json"], ids=["missing", "not_json"])
@@ -210,6 +226,11 @@ def test_cmd_verify_degenerate_config(tmp_path):
     doc = dict(BASE_DOC)
     doc["model"] = dict(doc["model"], xi_plus=[1.0, 0.0], xi_minus=[-1.0, 0.0])
     assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 2
+
+
+def test_config_rejects_unknown_check_names():
+    with pytest.raises(ConfigError, match=r"unknown check names \['no.such.check'\]"):
+        config.parse_config_dict({"checks": ["foundations.yang_baxter", "no.such.check"]})
 
 
 def test_cmd_verify_unknown_check(tmp_path):

@@ -68,6 +68,13 @@ def test_embedded_sites_commute():
     assert linalg.commutator_norm(a, b) == 0
 
 
+def test_frobenius_of_entries_whose_squares_overflow():
+    # the plain norm overflows to inf above ~1e154; a residual divided by it would read 0
+    assert linalg.frobenius(np.full((2, 2), 1e200)) == 2e200
+    assert linalg.frobenius(np.array([np.inf, 1.0])) == np.inf
+    assert linalg.rel_residual(np.full((2, 2), 1e200), 1e200) == 2.0
+
+
 def test_commutator_norm_values(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert linalg.commutator_norm(np.eye(4), m) == 0

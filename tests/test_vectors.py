@@ -1,8 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from openxxx import config, linalg, model, scalars, vectors
-from openxxx.errors import ContractionError, DegenerateBasisError, FrameUnavailableError
+from openxxx import config, linalg, model, scalars, vectors, verify
+from openxxx.errors import ContractionError, FrameUnavailableError
 from openxxx.model import ModelParams
 
 from conftest import P_VAL, Q_VAL, XI_PLUS, make_params
@@ -143,22 +145,39 @@ def test_bethe_vector_rejects_too_many_roots(params_n1):
         vectors.build_bethe_vector((0.3, 0.7), params_n1)
 
 
-# --- W extraction ---------------------------------------------------------------------------
+# --- golden W expansion ------------------------------------------------------------------------
+# Each test checks the identity the paper's coefficients state, with the closed
+# forms plugged in.
+
+def strings(lams, params):
+    """Each root subset S (0-based) mapped to B(lam_S)|Omega>."""
+    return {
+        sub: vectors._b_string_vector([lams[i] for i in sub], params)
+        for m in range(len(lams) + 1)
+        for sub in itertools.combinations(range(len(lams)), m)
+    }
+
+
+def expansion_error(phi, coeffs, lams, params):
+    """Relative error of phi = sum_S W_S B(lam_S)|Omega> over the subsets in ``coeffs``."""
+    basis = strings(lams, params)
+    terms = [w * basis[sub] for sub, w in coeffs.items()]
+    scale = max([np.linalg.norm(phi)] + [np.linalg.norm(t) for t in terms])
+    return np.linalg.norm(phi - sum(terms)) / scale
+
 
 def test_extract_w_n1_golden(params_n1):
     lam = 0.62 - 0.41j
-    tables = vectors.extract_W((lam,), params_n1)
     w = params_n1.c_ratio * (
         (2 * lam / (2 * lam + 1)) * scalars.lambda1(lam, params_n1)
         - scalars.lambda2(lam, params_n1)
     )
-    assert abs(tables[0][()] - w) < 1e-10 * max(1, abs(w))
-    assert abs(tables[1][(1,)] - 1) < 1e-10
+    phi = vectors.build_bethe_vector((lam,), params_n1)
+    assert expansion_error(phi, {(): w, (0,): 1.0}, (lam,), params_n1) < 1e-12
 
 
 def test_extract_w_n2_golden(params_n2):
     l1, l2 = LAMS2
-    tables = vectors.extract_W(LAMS2, params_n2)
 
     def w1(a, b):
         return params_n2.c_ratio * (
@@ -167,8 +186,6 @@ def test_extract_w_n2_golden(params_n2):
             - scalars.lambda2(b, params_n2) * scalars.structure_fn("h", b, a)
         )
 
-    assert abs(tables[1][(1,)] - w1(l1, l2)) < 1e-10 * max(1, abs(w1(l1, l2)))
-    assert abs(tables[1][(2,)] - w1(l2, l1)) < 1e-10 * max(1, abs(w1(l2, l1)))
     lam1, lam2 = scalars.lambda1, scalars.lambda2
     c2 = params_n2.c_ratio ** 2
     w_empty = c2 * (
@@ -180,46 +197,21 @@ def test_extract_w_n2_golden(params_n2):
         + (2 * l1 / (2 * l1 + 1)) * (2 * l2 / (2 * l2 + 1)) * (l1 + l2) / (l1 + l2 + 1)
         * lam1(l1, params_n2) * lam1(l2, params_n2)
     )
-    assert abs(tables[0][()] - w_empty) < 1e-10 * max(1, abs(w_empty))
-    assert abs(tables[2][(1, 2)] - 1) < 1e-10
+    coeffs = {(): w_empty, (0,): w1(l1, l2), (1,): w1(l2, l1), (0, 1): 1.0}
+    phi = vectors.build_bethe_vector(LAMS2, params_n2)
+    assert expansion_error(phi, coeffs, LAMS2, params_n2) < 1e-12
+    # a wrong order-0 coefficient breaks the identity
+    assert expansion_error(phi, {**coeffs, (): 1.01 * w_empty}, LAMS2, params_n2) > 1e-4
 
 
 def test_extract_w_diagonal_all_lower_orders_vanish():
     p = make_params(2, xi_plus=0.0, xi_minus=0.0)
-    tables = vectors.extract_W(LAMS2, p)
-    assert abs(tables[0][()]) < 1e-12
-    assert all(abs(v) < 1e-12 for v in tables[1].entries.values())
+    assert p.c_ratio == 0  # every W below the top order carries a factor c
+    phi = vectors.build_bethe_vector(LAMS2, p)
+    assert expansion_error(phi, {(0, 1): 1.0}, LAMS2, p) == 0.0
 
 
-def test_extract_w_roundtrip(params_n3):
-    tables = vectors.extract_W(LAMS3, params_n3)
-    from math import comb
-
-    for m, table in enumerate(tables):
-        assert table.order == m
-        assert len(table.entries) == comb(3, m)  # complete over all subsets
-    phi = vectors.build_bethe_vector(LAMS3, params_n3)
-    recon = np.zeros_like(phi)
-    for table in tables:
-        for sub, w in table.entries.items():
-            recon = recon + w * vectors._b_string_vector(
-                [LAMS3[i - 1] for i in sub], params_n3
-            )
-    assert np.linalg.norm(recon - phi) / np.linalg.norm(phi) < 1e-9
-
-
-def test_extract_w_degenerate_basis(params_n2):
-    with pytest.raises(DegenerateBasisError):
-        vectors.extract_W((0.4 + 0.2j, 0.4 + 0.2j + 1e-13), params_n2)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_extract_w_non_finite_basis_is_named():
-    with pytest.raises(DegenerateBasisError, match="non-finite"):
-        vectors.extract_W(LAMS2, overflowing_params())
-
-
-# --- V extraction ----------------------------------------------------------------------------
+# --- golden V relations ---------------------------------------------------------------------------
 
 def v_formula(u, lams, j):
     num, den = u, lams[j]
@@ -230,61 +222,38 @@ def v_formula(u, lams, j):
     return num / den
 
 
+def order_one_error(u, lams, params):
+    """Relative error of B(u)|Omega> = sum_j V^j B(lam_j)|Omega>."""
+    target = vectors._b_string_vector((u,), params)
+    coeffs = {(j,): v_formula(u, lams, j) for j in range(len(lams))}
+    return expansion_error(target, coeffs, lams, params)
+
+
 def test_extract_v_n2_golden(params_n2):
-    u = 0.91 - 0.27j
-    table = vectors.extract_V(u, (), LAMS2, params_n2)
-    for j, sub in enumerate([(1,), (2,)]):
-        expected = v_formula(u, LAMS2, j)
-        assert abs(table[sub] - expected) < 1e-10 * max(1, abs(expected))
-    at_root = vectors.extract_V(LAMS2[0], (), LAMS2, params_n2)
-    assert abs(at_root[(1,)] - 1) < 1e-10
-    assert abs(at_root[(2,)]) < 1e-10
+    assert order_one_error(0.91 - 0.27j, LAMS2, params_n2) < 1e-12
 
 
 def test_extract_v_n3_golden(params_n3):
-    u = 0.91 - 0.27j
-    table = vectors.extract_V(u, (), LAMS3, params_n3)
-    for j, sub in enumerate([(1,), (2,), (3,)]):
-        expected = v_formula(u, LAMS3, j)
-        assert abs(table[sub] - expected) < 1e-10 * max(1, abs(expected))
+    assert order_one_error(0.91 - 0.27j, LAMS3, params_n3) < 1e-12
 
 
 def test_extract_v_full_order_is_z_ratio(params_n2):
     u = 0.91 - 0.27j
-    table = vectors.extract_V(u, (2,), LAMS2, params_n2)
+    target = vectors._b_string_vector((u, LAMS2[1]), params_n2)
     ratio = vectors.partition_Z((u, LAMS2[1]), params_n2) / vectors.partition_Z(
         LAMS2, params_n2
     )
-    assert abs(table[(1, 2)] - ratio) < 1e-10 * max(1, abs(ratio))
+    assert expansion_error(target, {(0, 1): ratio}, LAMS2, params_n2) < 1e-12
 
 
-def test_extract_v_validates_subset(params_n2):
-    with pytest.raises(DegenerateBasisError):
-        vectors.extract_V(0.3, (1, 2), LAMS2 + (0.9,), params_n2)
-    with pytest.raises(DegenerateBasisError):
-        vectors.extract_V(0.3, (5,), LAMS2, params_n2)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_extract_v_non_finite_basis_is_named():
-    with pytest.raises(DegenerateBasisError, match="non-finite"):
-        vectors.extract_V(0.91 - 0.27j, (2,), LAMS2, overflowing_params())
-
-
-def test_extract_builds_each_root_operator_once(monkeypatch, params_n3):
+def test_golden_v_sample_builds_each_operator_once(monkeypatch, params_n3):
+    # one golden.v_n3 sample builds B(u) and each B(lam_j) once
     builds = []
     open_k = model.open_k_matrix
     monkeypatch.setattr(model, "open_k_matrix", lambda u, p: builds.append(u) or open_k(u, p))
-    vectors.extract_W(LAMS3, params_n3)
-    assert len(builds) == 3 + 3  # Bbar(lam_i) for Phi, then B(lam_i) for all 8 strings
-    builds.clear()
-    u = 0.91 - 0.27j
-    table = vectors.extract_V(u, (2, 3), LAMS3, params_n3)
-    assert len(builds) == 1 + 3  # B(u) and each B(lam_i)
-    target = vectors._b_string_vector((u,) + LAMS3[1:], params_n3)
-    column = vectors._b_string_vector(LAMS3, params_n3)
-    expected = vectors._solve_in_sector([column], target, 3, 3, "extract_V")
-    assert table[(1, 2, 3)] == expected[0]
+    report = verify.run_suite(params_n3, checks=["golden.v_n3"], n_samples=1)
+    assert report.all_pass
+    assert len(builds) == 1 + 3
 
 
 # --- partition function -----------------------------------------------------------------------

@@ -199,6 +199,50 @@ def test_engine_fails_a_check_with_a_nan_sample(params_n2):
     assert (outcome.verdict, outcome.residual) == ("pass", 1e-12)
 
 
+# --- golden identities ---------------------------------------------------------------------
+
+GOLDEN_IDENTITIES = ["golden.w_n1", "golden.w_n2", "golden.v_n2", "golden.v_n3"]
+
+
+def test_golden_identities_yield_one_residual_per_order(params_n2):
+    # W: one residual per order m = 0..N; V: the order-1 and the order-N relation
+    report = verify.run_suite(params_n2, checks=GOLDEN_IDENTITIES, seed=3, n_samples=2)
+    assert report.all_pass
+    assert [(c.name, c.n_samples) for c in report.checks] == [
+        ("golden.v_n2", 4), ("golden.v_n3", 4), ("golden.w_n1", 4), ("golden.w_n2", 6),
+    ]
+
+
+@pytest.mark.parametrize("formula, checks", [
+    ("_w_coeff_n1", ["golden.w_n1"]),
+    ("_w_empty_n2", ["golden.w_n2"]),
+    ("_w1_coeff_n2", ["golden.w_n2"]),
+    ("_v_coeff", ["golden.v_n2", "golden.v_n3"]),
+])
+def test_golden_identities_fail_on_a_perturbed_coefficient(monkeypatch, params_n2, formula, checks):
+    exact = getattr(verify, formula)
+    monkeypatch.setattr(verify, formula, lambda *args: 1.001 * exact(*args))
+    report = verify.run_suite(params_n2, checks=checks, seed=3, n_samples=2)
+    assert all(c.verdict == "fail" for c in report.checks)
+
+
+def test_golden_identities_hold_at_the_fusion_point():
+    # theta_1 - theta_2 = 1 with theta_2 = -theta_1: the B-strings are linearly
+    # dependent there, but each identity still holds
+    m = config.default_config().model
+    params = ModelParams.create((0.5, -0.5), m.p, m.q, m.xi_plus, m.xi_minus)
+    report = verify.run_suite(params, checks=["golden.w_n2", "golden.v_n2", "golden.v_n3"])
+    assert [c.verdict for c in report.checks] == ["pass"] * 3
+
+
+def test_hamiltonian_commutes_reads_a_residual_through_overflowing_norms():
+    # with p = 1e160 the Frobenius norm of t(u) overflows a plain norm; the
+    # residual must still be measured, not read as 0 against an infinite scale
+    params = config.parse_config_dict({"model": {"p": [1e160, 0.0]}}).model
+    report = verify.run_suite(params, checks=["foundations.hamiltonian_commutes"])
+    assert all(c.verdict == "pass" and 0 < c.residual for c in report.checks)
+
+
 # --- checks on circle nodes -----------------------------------------------------------------
 
 # Residuals each node check yields at N sites: one per node (2 per node for the
