@@ -2,16 +2,18 @@
 
 Lambda and BE_k are evaluated in batch by the one kernel in ``scalars``.  One
 damped Newton driver with central-difference Jacobians solves the square
-Bethe system BE_k = 0 (k = 1..M) for a batch of rows, one kernel call per
-stage: the stacked Jacobian, the full steps and the rest of the backtracking
-ladder, over chunks of at most ``_MAX_ROWS`` rows.  A row stops when it
-converges, when no rung of its step lowers the merit, or at ``max_iter``.
-The blind multistart ``solve_bethe`` feeds it random starts drawn around the
-reflection-symmetric point -1/2.  Every search finishes the same way: the BE
-residual is recomputed from scratch, and converged solutions are
-canonicalized under the lambda -> -lambda - 1 reflection, filtered against
-pole and degeneracy guards, and merged by their Baxter polynomial
-Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1), which names the eigenstate.
+reduced Bethe system G_k = BE_k / (lambda_k (lambda_k + 1)) = 0 (k = 1..M),
+which has no trivial zero at lambda_k = 0 or -1, for a batch of rows, one
+kernel call per stage: the stacked Jacobian, the full steps and the rest of
+the backtracking ladder, over chunks of at most ``_MAX_ROWS`` rows.  A row
+stops when it converges, when no rung of its step lowers the merit, or at
+``max_iter``.  The blind multistart ``solve_bethe`` feeds it random starts
+drawn around the reflection-symmetric point -1/2.  Every search finishes the
+same way: the printed BE_k residual is recomputed from scratch, and converged
+solutions are canonicalized under the lambda -> -lambda - 1 reflection,
+filtered against pole and degeneracy guards, and merged by their Baxter
+polynomial Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1), which names the
+eigenstate.
 
 Completeness works curve first.  The eigenvalue curves of t(u) come from one
 eigenbasis of the commuting family sampled on a circle, the Bethe roots of
@@ -85,12 +87,14 @@ class SolverConfig:
 # Both formulas come from the kernel in ``scalars``; rows with a pole come out
 # non-finite, and callers treat those rows as failed.
 
-def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def be_batch(lam: np.ndarray, params: ModelParams, reduced=False) -> tuple[np.ndarray, np.ndarray]:
     """Residuals and their term scales for a (batch, M) array of root sets.
 
     Returns ``(be, scale)`` with ``be[s, k] = BE_k`` of row ``s`` and
     ``scale`` the largest addend magnitude (floored at 1), the natural
-    normalization for convergence tests.
+    normalization for convergence tests.  ``reduced`` first divides the three
+    addends by the factor lambda_k (lambda_k + 1) they share, giving the
+    reduced G_k = BE_k / (lambda_k (lambda_k + 1)) and its scale.
     """
     lam = np.asarray(lam, dtype=complex)
     n = lam.shape[1]
@@ -100,14 +104,17 @@ def be_batch(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarr
     lam_t = np.ascontiguousarray(lam.T)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         t1, t2, t3 = scalars.be_terms(lam_t, lam_t[others], params, params.rho)
+        if reduced:
+            w = lam_t * (lam_t + 1)
+            t1, t2, t3 = t1 / w, t2 / w, t3 / w
     be = (t1 + t2 + t3).T
     scale = np.maximum(np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3)), 1.0).T
     return be, scale
 
 
-def _be_residual(lam: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """The Bethe system for the solver driver: BE_k rows and their scaled max norm."""
-    be, scale = be_batch(lam, params)
+def _be_residual(lam, params: ModelParams, reduced=True) -> tuple[np.ndarray, np.ndarray]:
+    """The driver's system: reduced G_k rows (printed BE_k unless ``reduced``) and their merit."""
+    be, scale = be_batch(lam, params, reduced)
     merit = (np.abs(be) / scale).max(axis=1)
     return be, np.where(np.isfinite(merit), merit, np.inf)
 
@@ -226,6 +233,8 @@ def solve_bethe(
 ) -> list[BetheRootSet]:
     """Find sets of N Bethe roots (the general ansatz) by multistart damped Newton.
 
+    The driver solves the reduced equations G_k of ``_be_residual``, and each
+    set is certified on the printed BE_k merit, its ``residual_norm``.
     Returns one set per solution, merged by Q(u) and sorted by roots (see
     ``_certify``); an empty list is a legal outcome.  A ``stats`` dict, if
     given, is filled with start/convergence/discard counters.  Deterministic
@@ -259,14 +268,14 @@ _MERGE_TOL = 1e-6
 def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | None = None):
     """Turn the rows a solve converged on into one Bethe root set per solution.
 
-    The BE residual is recomputed from scratch, never assumed from the
-    iteration; rows within ``tol`` are canonicalized under the reflection and
-    filtered by the pole and degeneracy guards.  Taken in order of residual, a
-    row joins the first kept set whose Q values at ``_MERGE_POINTS`` it
-    matches, so each solution keeps its lowest-residual row.  Returns the sets
-    sorted by their canonical roots.
+    The printed BE_k merit is recomputed from scratch, never assumed from the
+    reduced system the driver solved; rows within ``tol`` are canonicalized
+    under the reflection and filtered by the pole and degeneracy guards.
+    Taken in order of residual, a row joins the first kept set whose Q values
+    at ``_MERGE_POINTS`` it matches, so each solution keeps its lowest-residual
+    row.  Returns the sets sorted by their canonical roots.
     """
-    final_res = _be_residual(lam, params)[1] if len(lam) else np.empty(0)
+    final_res = _be_residual(lam, params, reduced=False)[1] if len(lam) else np.empty(0)
     hits = np.nonzero(final_res <= tol)[0]
     candidates = []
     for i in hits:
@@ -396,7 +405,7 @@ def curve_roots(
     coefficients of Q, a monic polynomial of degree m in w = u(u+1), so they
     follow by least squares at the points of ``_tq_points`` (rows that are
     not finite are dropped).  The roots of Q in w give lambda = (-1 + sqrt(1 +
-    4w))/2, which one Newton polish on BE_k and the usual certification turn
+    4w))/2, which one Newton polish on G_k and the usual certification turn
     into root sets; an empty list means the curve has no such set.  ``m = 0``
     gives the empty set.
     """

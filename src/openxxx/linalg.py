@@ -52,12 +52,20 @@ def commutator_norm(a, b) -> float:
     a, b = as_matrix(a), as_matrix(b)
     if a.shape != b.shape or a.shape[0] != a.shape[1]:
         raise DimensionError(f"incompatible shapes {a.shape} and {b.shape}")
-    return frobenius(a @ b - b @ a) / max(frobenius(a) * frobenius(b), 1.0)
+    return rel_residual(a @ b - b @ a, frobenius(a), frobenius(b))
 
 
 def rel_residual(diff, *scales) -> float:
-    """Norm of ``diff`` relative to the product of the given scales (floored at 1)."""
-    denom = 1.0
+    """Norm of ``diff`` relative to the product of the given scales (floored at 1).
+
+    A product that overflows to inf is divided out one scale at a time, so a
+    finite residual does not read 0.
+    """
+    norm, denom = frobenius(diff), 1.0
     for s in scales:
         denom *= float(s)
-    return frobenius(diff) / max(denom, 1.0)
+    if denom == np.inf:
+        for s in scales:
+            norm /= float(s)
+        return norm
+    return norm / max(denom, 1.0)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from openxxx import model, scalars
 from openxxx.model import ModelParams
 
 # Fixed generic complex boundary parameters, clear of every degeneracy guard.
@@ -15,6 +16,19 @@ def make_params(n_sites, xi_plus=XI_PLUS, xi_minus=XI_MINUS, **kw):
     return ModelParams.create(
         THETAS[:n_sites], P_VAL, Q_VAL, xi_plus, xi_minus, **kw
     )
+
+
+def eigvals_error(roots, params, points) -> float:
+    """Worst distance from Lambda(u) of ``roots`` to eigvals(t(u)) over ``points``.
+
+    Each distance is relative to the largest eigenvalue magnitude (floored at 1).
+    """
+    worst = 0.0
+    for u in points:
+        eig = np.linalg.eigvals(model.transfer_matrix(u, params))
+        value = scalars.eigenvalue_Lambda(u, roots, params)
+        worst = max(worst, float(np.abs(eig - value).min()) / max(1.0, np.abs(eig).max()))
+    return worst
 
 
 @pytest.fixture

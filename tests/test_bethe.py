@@ -4,7 +4,7 @@ import pytest
 from openxxx import bethe, config, model, scalars, vectors
 from openxxx.bethe import SolverConfig
 
-from conftest import XI_MINUS, make_params
+from conftest import XI_MINUS, eigvals_error, make_params
 from test_scalars import diag_be_polynomial_n1
 
 
@@ -28,6 +28,46 @@ def test_batch_matches_scalar_residuals(params_n3, rng):
             t1, t2, t3 = scalars.bethe_terms(k, lam[s], params_n3)
             assert abs(be[s, k] - (t1 + t2 + t3)) < 1e-10 * max(1, abs(be[s, k]))
             assert abs(scale[s, k] - max(abs(t1), abs(t2), abs(t3), 1.0)) < 1e-8 * scale[s, k]
+
+
+def test_driver_rows_times_the_trivial_factor_are_be(params_n3, rng):
+    # G_k lambda_k (lambda_k + 1) = BE_k: the reduced rows only drop the factor
+    lam = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    g, _ = bethe._be_residual(lam, params_n3)
+    be, scale = bethe.be_batch(lam, params_n3)
+    assert np.all(np.abs(g * lam * (lam + 1) - be) <= 1e-14 * scale)
+
+
+# Off-shell points at which a returned set's Lambda must be an eigenvalue of t(u).
+EIGVALS_POINTS = (0.31 + 0.12j, -0.87 + 0.64j, 0.68 - 0.79j)
+
+# A set the blind solve on the default N = 3 model returned when its driver
+# solved BE_k itself: printed merit 8.7e-11, under the default tol, with two
+# roots within 3.1e-4 of 0, where every addend of BE_k is small.
+SPURIOUS_N3 = (
+    -0.4157042190197019 + 0.3089331140863268j,
+    -7.643902237173907e-05 - 0.00029825417208005867j,
+    7.643853542501108e-05 + 0.00029825349182402227j,
+)
+
+
+def test_spurious_set_near_the_trivial_zero_fails_the_driver_merit():
+    cfg = config.default_config()
+    params = cfg.model.with_sites(3)
+    lam = np.array([SPURIOUS_N3])
+    assert eigvals_error(SPURIOUS_N3, params, EIGVALS_POINTS) > 1e-3
+    assert bethe._be_residual(lam, params, reduced=False)[1][0] <= cfg.solver.tol
+    assert bethe._be_residual(lam, params)[1][0] > cfg.solver.tol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n_sites", [1, 2, 3])
+def test_every_blind_set_on_the_default_model_is_an_eigenvalue(n_sites, seed):
+    params = config.default_config().model.with_sites(n_sites)
+    sets = bethe.solve_bethe(params, SolverConfig(seed=seed))
+    assert sets
+    for rs in sets:
+        assert eigvals_error(rs, params, EIGVALS_POINTS) <= 1e-8, rs.roots
 
 
 def test_solve_bethe_diagonal_n1_matches_polynomial_oracle():

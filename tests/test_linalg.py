@@ -75,6 +75,19 @@ def test_frobenius_of_entries_whose_squares_overflow():
     assert linalg.rel_residual(np.full((2, 2), 1e200), 1e200) == 2.0
 
 
+def test_rel_residual_whose_scale_product_overflows():
+    # 1e200 * 1e150 overflows to inf, which read the finite 1e-50 as exactly 0
+    got = linalg.rel_residual(np.full(2, 1e300), 1e200, 1e150)
+    assert got == pytest.approx(math.sqrt(2) * 1e-50, rel=1e-14, abs=0)
+
+
+def test_commutator_norm_whose_norm_product_overflows():
+    # [a, b] = [[0, 1e300], [0, 0]] is finite while ||a|| ||b|| ~ 1e350 is not
+    a = np.array([[1e200, 1e150], [0, 0]], dtype=complex)
+    b = np.diag([0, 1e150]).astype(complex)
+    assert linalg.commutator_norm(a, b) == pytest.approx(1e-50, rel=1e-14, abs=0)
+
+
 def test_commutator_norm_values(rng):
     m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     assert linalg.commutator_norm(np.eye(4), m) == 0

@@ -1,10 +1,12 @@
 """Pinned solver and cover outcomes on the default configuration's model.
 
-The values were recorded from the implementation with separate Newton and
-Gauss-Newton loops, separate batch formulas and a cover built from blind and
-curve-targeted solves; every later implementation must reproduce them: the
+The cover values were recorded from the implementation with separate Newton
+and Gauss-Newton loops, separate batch formulas and a cover built from blind
+and curve-targeted solves; every later implementation must reproduce them: the
 same counts, and each set's eigenvalue Lambda(u) at ``PROBES`` to 1e-8
-relative, compared as lists sorted by those values.
+relative, compared as lists sorted by those values.  A blind solve must return
+its pinned number of sets, each an eigenstate: one of the cover's pinned sets,
+or a Lambda in the spectrum of t(u) at ``PROBES``.
 """
 
 from collections import Counter
@@ -14,6 +16,8 @@ import pytest
 
 from openxxx import bethe, config, scalars, verify
 from openxxx.model import ModelParams
+
+from conftest import eigvals_error
 
 # Each pin is a set's Lambda(u) at these three points.
 PROBES = (0.3 + 0.0j, 1.1 + 0.7j, -2.4 + 0.0j)
@@ -34,40 +38,32 @@ COVER_N3 = (8, [
     ((14.161851328353473-0.6566031408926671j), (-272.27770041516123+260.12972520067376j), (847.840533869568+12.637619479973186j)),
     ((19.176613497931847-0.839328334594903j), (-763.6044299445107+620.1148530230851j), (1869.1577002468293+44.18668127479013j)),
 ])
-# Blind multistart at N = 3; the first and third sets reproduce no eigencurve
-# of the cover above, and are pinned as they are.  Each holds two roots within
-# 6e-4 of 0 or -1 and converges to just under the 1e-10 tolerance, so its rows
-# scatter: the first set is its lowest-residual row (8.69e-11), whose Lambda
-# differs by 2e-8 relative from that of the row pinned before (9.38e-11).
-SOLVE_N3 = [
-    ((0.9849023490818202-0.39450554117583614j), (9.840482424939214-32.49939188161485j), (70.07030568802125-56.78593086270239j)),
-    ((1.0540108399666201-0.3917371179155578j), (-41.207489726641946-39.60291738122306j), (140.0456594458846-28.571791411147263j)),
-    ((5.1391317092909-0.17258419948315168j), (-20.698043720003874-92.71455315897468j), (95.03945467955268-34.0184995884583j)),
-    ((5.934265061828039-2.245076879180843j), (176.5565921156372-98.47368389924827j), (-95.27225086128328-155.69684172101245j)),
-    ((14.161851328353473-0.6566031408926671j), (-272.27770041516123+260.12972520067376j), (847.840533869568+12.637619479973186j)),
-]
-
-# Blind multistart with default starts on the 3rd draw of default_rng(11) over
-# sizes (4, 4, 4, 5, 5, 5), an N = 4 instance of the benchmark's solve workload.
-SOLVE_N4_DRAW = [
-    ((0.9178568446628302-0.20024600372311555j), (120.56852784665855-192.25377590440485j), (438.6903366549756-35.06416806813104j)),
-    ((1.0839251164389174+0.2689801070820215j), (38.37146719633003+2.7967181471954863j), (110.23575354439427-317.9228323989468j)),
-    ((2.877575068884461-0.0032860073638661643j), (-62.061637337576656-288.8799368100665j), (622.098898232783-81.93851504574417j)),
-    ((14.040153603527331+4.424048483100453j), (-818.2400921227334+341.3509819576913j), (1865.491425838812-425.6934567035894j)),
-]
+# Blind multistart returns eigenstates only.  At N = 3 it returns five sets,
+# each one of the cover's pinned sets above.  On the 3rd draw of
+# default_rng(11) over sizes (4, 4, 4, 5, 5, 5), an N = 4 instance of the
+# benchmark's solve workload, it returns two, each with its Lambda in the
+# spectrum of t(u) at the probes.
+SOLVE_N3_COUNT = 5
+SOLVE_N4_DRAW_COUNT = 2
 
 
 def _key(values):
     return tuple((z.real, z.imag) for z in values)
 
 
+def _lambda_at_probes(rs, params):
+    return tuple(scalars.eigenvalue_Lambda(u, rs, params) for u in PROBES)
+
+
+def _close(a, b):
+    return all(abs(x - y) <= 1e-8 * max(1.0, abs(x), abs(y)) for x, y in zip(a, b))
+
+
 def _assert_pinned(sets, params, pinned):
-    got = sorted(
-        (tuple(scalars.eigenvalue_Lambda(u, rs, params) for u in PROBES) for rs in sets), key=_key
-    )
+    got = sorted((_lambda_at_probes(rs, params) for rs in sets), key=_key)
     assert len(got) == len(pinned)
     for a, b in zip(got, sorted(pinned, key=_key)):
-        assert all(abs(x - y) <= 1e-8 * max(1.0, abs(x), abs(y)) for x, y in zip(a, b)), (a, b)
+        assert _close(a, b), (a, b)
 
 
 @pytest.mark.parametrize("n, pinned", [(2, COVER_N2), (3, COVER_N3)])
@@ -83,13 +79,19 @@ def test_cover_spectrum_default_model_is_pinned(n, pinned):
 def test_solve_bethe_default_model_n3_is_pinned():
     cfg = config.default_config()
     params = cfg.model.with_sites(3)
-    _assert_pinned(bethe.solve_bethe(params, cfg.solver), params, SOLVE_N3)
+    sets = bethe.solve_bethe(params, cfg.solver)
+    assert len(sets) == SOLVE_N3_COUNT
+    for rs in sets:
+        assert any(_close(_lambda_at_probes(rs, params), pin) for pin in COVER_N3[1]), rs.roots
 
 
 def test_solve_bethe_n4_benchmark_draw_is_pinned():
     rng = np.random.default_rng(11)
     params = [verify.random_params(rng, n) for n in (4, 4, 4, 5, 5, 5)][2]
-    _assert_pinned(bethe.solve_bethe(params, bethe.SolverConfig()), params, SOLVE_N4_DRAW)
+    sets = bethe.solve_bethe(params, bethe.SolverConfig())
+    assert len(sets) == SOLVE_N4_DRAW_COUNT
+    for rs in sets:
+        assert eigvals_error(rs, params, PROBES) <= 1e-8, rs.roots
 
 
 def test_cover_spectrum_n4_draw_that_broke_branch_tracking():
