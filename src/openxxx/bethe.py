@@ -15,12 +15,13 @@ filtered against pole and degeneracy guards, and merged by their Baxter
 polynomial Q(u) = prod_j (u - lambda_j)(u + lambda_j + 1), which names the
 eigenstate.
 
-Completeness works curve first.  The eigenvalue curves of t(u) come from one
-eigenbasis of the commuting family sampled on a circle, the Bethe roots of
-each curve from the linear T-Q relation with one Newton polish.  Each curve
-is matched to the certified set solved from it with the smallest T-Q
-residual, so a curve that none of its own sets satisfies is unmatched.
-The same t(u) samples give each matched curve's eigen-residual.
+Completeness works curve first.  t(-u-1) = t(u), so t(u), its eigenvalue
+curves and the T-Q relation are polynomials in w = u(u+1).  The curves come
+from one eigenbasis of the commuting family sampled on a circle in w, the
+Bethe roots of each curve from the linear T-Q relation with one Newton
+polish.  Each curve is matched to the certified set solved from it with the
+smallest T-Q residual, so a curve that none of its own sets satisfies is
+unmatched.  The same t(u) samples give each matched curve's eigen-residual.
 """
 
 from __future__ import annotations
@@ -37,10 +38,6 @@ from .model import ModelParams
 from .scalars import BetheRootSet
 
 log = logging.getLogger(__name__)
-
-# Spectral circle on which the dense spectrum is sampled: a generic center
-# keeps the path clear of real-axis symmetry-induced eigenvalue collisions.
-CURVE_CENTER = 0.11 + 0.23j
 
 # Solver driver: the central-difference step (relative to 1 + |lambda|), the
 # Newton step fraction tried first, the rungs of the halving ladder, and the
@@ -308,62 +305,49 @@ def _certify(lam: np.ndarray, params: ModelParams, tol: float, stats: dict | Non
 
 @dataclass(frozen=True, slots=True)
 class Eigencurve:
-    """One transfer-matrix eigenvalue branch as a polynomial in u."""
+    """One transfer-matrix eigenvalue branch as a polynomial in w = u(u+1)."""
 
-    coeffs: np.ndarray  # ascending powers
+    coeffs: np.ndarray  # ascending powers of w
 
     def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=complex)
+        c = np.array(self.coeffs, dtype=complex)  # a copy: not a view that keeps its base alive
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     def __call__(self, u):
-        return np.polynomial.polynomial.polyval(np.asarray(u, dtype=complex), self.coeffs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def _curve_radius(params: ModelParams) -> float:
-    """Radius of the circle about CURVE_CENTER on which t(u) and the curves are sampled."""
-    return 1.9 + max((abs(t) for t in params.theta), default=0.0)
+        u = np.asarray(u, dtype=complex)
+        return np.polynomial.polynomial.polyval(u * (u + 1), self.coeffs)
 
 
 def circle_nodes(params: ModelParams, k: int, offset: float = 0.0) -> np.ndarray:
-    """The ``k`` nodes CURVE_CENTER + radius exp(2 pi i (j + offset) / k); -1/2 is inside."""
-    phases = np.exp(2j * np.pi * (np.arange(k) + offset) / k)
-    return CURVE_CENTER + _curve_radius(params) * phases
+    """u = (-1 + sqrt(1 + 4w)) / 2 at the ``k`` nodes w = R exp(2 pi i (j + offset) / k).
 
-
-def _in_u(coeff_s: np.ndarray, radius: float) -> np.ndarray:
-    """Recompose ascending coefficients in s = (u - CURVE_CENTER)/radius into u."""
-    poly = np.polynomial.polynomial
-    lin = np.array([-CURVE_CENTER / radius, 1.0 / radius], dtype=complex)
-    coeffs_u = np.array([coeff_s[-1]], dtype=complex)
-    for c in coeff_s[-2::-1]:
-        coeffs_u = poly.polyadd(poly.polymul(coeffs_u, lin), [c])
-    return coeffs_u
+    R = (1.9 + max |theta_j|)^2, so w = -1/4 (u = -1/2) is inside; distinct w
+    give distinct u, so the nodes test a degree k - 1 in w or in u alike.
+    """
+    radius = (1.9 + max((abs(t) for t in params.theta), default=0.0)) ** 2
+    w = radius * np.exp(2j * np.pi * (np.arange(k) + offset) / k)
+    return (-1 + np.sqrt(1 + 4 * w)) / 2
 
 
 def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.ndarray, np.ndarray]:
     """Eigenvalue curves of t(u) from one eigenbasis of the commuting family.
 
-    t(u) is a matrix polynomial of degree 2N+2, so its samples at the 2N+3
-    roots of unity on a circle give its exact coefficient matrices C_m by
-    FFT.  The family commutes, so the eigenvectors V of one generic
-    combination of the samples diagonalize every C_m, and the diagonals of
-    V^-1 C_m V are the curves' coefficients.  Returns the curves, the sample
-    points and the t(u) samples there, shape (2N+3, 2^N, 2^N).  Raises
-    ``TrackingError`` when cond(V) or the relative off-diagonal residual
-    shows V is no joint eigenbasis, or when the rotated coefficients
-    overflow so that residual cannot be measured.
+    t(u) is a matrix polynomial of degree N+1 in w = u(u+1), so its samples
+    at the N+2 ``circle_nodes`` give its exact coefficient matrices C_m by
+    FFT in w/R, and C_m / R^m in w.  The family commutes, so the eigenvectors
+    V of one generic combination of the samples diagonalize every C_m, and
+    the diagonals of V^-1 C_m V are the curves' coefficients.  Returns the
+    curves, the sample points u and the t(u) samples there, shape
+    (N+2, 2^N, 2^N).  Raises ``TrackingError`` when cond(V) or the relative
+    off-diagonal residual shows V is no joint eigenbasis, or when the rotated
+    coefficients overflow so that residual cannot be measured.
     """
-    k = 2 * params.n_sites + 3
-    radius = _curve_radius(params)
+    k = params.n_sites + 2
     points = circle_nodes(params, k)
     samples = np.array([model.transfer_matrix(u, params) for u in points])
-    coeff_mats = np.fft.fft(samples, axis=0) / k
+    radius = (points[0] * (points[0] + 1)).real  # node 0 sits at w = R
+    coeff_mats = np.fft.fft(samples, axis=0) / (k * radius ** np.arange(k)[:, None, None])
     weights = np.array([1, 1j]) @ np.random.default_rng(_MIX_SEED).standard_normal((2, k))
     _, vecs = np.linalg.eig(np.tensordot(weights, samples, axes=1))
     cond = np.linalg.cond(vecs)
@@ -378,7 +362,7 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     off = np.linalg.norm(rotated - diag[:, :, None] * np.eye(params.dim)) / scale
     if not off <= _OFFDIAG_TOL:
         raise TrackingError(f"t(u) samples are not simultaneously diagonal (residual {off:.2e})")
-    return [Eigencurve(_in_u(diag[:, i], radius)) for i in range(params.dim)], points, samples
+    return [Eigencurve(diag[:, i]) for i in range(params.dim)], points, samples
 
 
 @lru_cache(maxsize=16)
@@ -386,7 +370,8 @@ def _tq_points(params: ModelParams):
     """The T-Q fit points u and the kernel's addends A, D, R at no roots there.
 
     The 4N+8 points are circle nodes half a step off those of
-    ``dense_spectrum_curves``; they depend on the model alone.
+    ``dense_spectrum_curves``, more than the relation's degree 2N+1 in w
+    needs; they depend on the model alone.
     """
     u = circle_nodes(params, 4 * params.n_sites + 8, offset=0.5)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -452,8 +437,8 @@ def _tq_errors(curve: Eigencurve, sets, params: ModelParams) -> np.ndarray:
 
 # A curve matches its best own set when that set's T-Q residual is at most
 # this.  The residual separates right from wrong sets by orders of magnitude:
-# at most 2.68e-12 on every matched set against at least 0.246 on every
-# rejected one, over 156 covers at N = 1..5.
+# at most 6.1e-13 on every matched set against at least 0.14 on every other
+# set of the same curve, over 177 covers at N = 1..5.
 MATCH_TOL = 1e-8
 
 
@@ -512,8 +497,9 @@ class CoverageResult:
 def _eigen_residual(rs: BetheRootSet, curve: Eigencurve, points, samples, params) -> float:
     """max_k |t(u_k) phi - c(u_k) phi| / (|t(u_k)|_F |phi|) for the Bethe vector phi.
 
-    Both sides of t(u) phi = c(u) phi are polynomials of degree 2N+2 in u, so
-    the 2N+3 samples of ``dense_spectrum_curves`` test the identity for all u.
+    Both sides of t(u) phi = c(u) phi are polynomials of degree N+1 in
+    w = u(u+1), so the N+2 samples of ``dense_spectrum_curves`` test the
+    identity for all u.
     A vanishing phi is no eigenvector: a zero scale gives inf.
     """
     phi = vectors.build_bethe_vector(rs, params)

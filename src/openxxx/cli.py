@@ -161,8 +161,7 @@ def cmd_spectrum(cfg: RunConfig):
         "curves": [
             {
                 "curve_id": m.curve_id,
-                "degree": m.curve.degree,
-                "coeffs": [from_complex(c) for c in m.curve.coeffs],
+                "coeffs_w": [from_complex(c) for c in m.curve.coeffs],
                 "matched": m.matched,
                 "excitations": m.excitations,
                 "match_error": _finite_or_none(m.match_error),

@@ -24,9 +24,9 @@ from .errors import ParameterError, PoleError
 # Spectral-parameter pole guard: evaluations this close to a pole are rejected.
 POLE_EPS = 1e-6
 
-# Longest chain a model may have.  The cover holds 2N+3 dense 2^N x 2^N
-# complex t(u) samples, several copies at once: 386 MB per copy at N = 10,
-# 1.68 GB at N = 11.
+# Longest chain a model may have.  The cover holds N+2 dense 2^N x 2^N
+# complex t(u) samples, several copies at once: 201 MB per copy at N = 10,
+# 872 MB at N = 11.
 MAX_SITES = 10
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)

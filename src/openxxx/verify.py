@@ -4,16 +4,17 @@ Each check evaluates one identity (an operator equation, a scalar identity,
 or an end-to-end spectral property) and yields one relative residual per
 evaluation (several when one evaluation tests several identities).  A
 one-variable polynomial identity of degree d is evaluated at d + 1 nodes of
-the curve circle, which tests it for all u; the on-shell checks read the
-spectrum cover, and the other identities are evaluated at randomly sampled
-spectral points.  The engine alone reduces them: the reported
-residual is the worst one, a non-finite sample makes it non-finite, and a
-check passes only when it yielded at least one residual and the worst is
-within tolerance.  Residuals are always normalized by the norms of the
-objects involved, so tolerances are parameter-scale-free.  The registry
-fixes stable check names, the chain lengths each check runs at, its
-tolerance, and whether it gates the suite (the length-4 off-shell probe is
-recorded as experimental evidence only).
+the curve circle in w = u(u+1), which tests it for all u: d is the degree in
+w for t(u) alone (t(-u-1) = t(u)), in u for the A, B, C, D entries.  The
+on-shell checks read the spectrum cover, and the other identities are
+evaluated at randomly sampled spectral points.  The engine alone reduces
+them: the reported residual is the worst one, a non-finite sample makes it
+non-finite, and a check passes only when it yielded at least one residual
+and the worst is within tolerance.  Residuals are always normalized by the
+norms of the objects involved, so tolerances are parameter-scale-free.  The
+registry fixes stable check names, the chain lengths each check runs at,
+its tolerance, and whether it gates the suite (the length-4 off-shell probe
+is recorded as experimental evidence only).
 
 Determinism: every check derives its random stream from (suite seed, the
 check's position in the registry, chain length), so verdicts are bitwise
@@ -178,9 +179,9 @@ def _reflection_dressed(ctx: CheckContext) -> Iterator[float]:
 
 @_check("foundations.transfer_commute", sites=(1, 2, 3, 4), tol=1e-10)
 def _transfer_commute(ctx: CheckContext) -> Iterator[float]:
-    """[t(u), t(v)]: degree 2N+2 in u and in v and zero at u = v, so pairs i < j of 2N+3 nodes."""
+    """[t(u), t(v)]: degree N+1 in w(u) and w(v), zero at u = v: pairs i < j of N+2 nodes."""
     p = ctx.params
-    ts = [model.transfer_matrix(u, p) for u in bethe.circle_nodes(p, 2 * p.n_sites + 3)]
+    ts = [model.transfer_matrix(u, p) for u in bethe.circle_nodes(p, p.n_sites + 2)]
     for t_u, t_v in itertools.combinations(ts, 2):
         yield linalg.commutator_norm(t_u, t_v)
 
@@ -221,13 +222,13 @@ def _b_nilpotency(ctx: CheckContext) -> Iterator[float]:
 
 @_check("foundations.hamiltonian_commutes", sites=(1, 2, 3, 4), tol=1e-10)
 def _hamiltonian_commutes(ctx: CheckContext) -> Iterator[float]:
-    """[H, t(u)] = 0 for the homogeneous chain with eta+- = 0: degree 2N+2."""
+    """[H, t(u)] = 0 for the homogeneous chain with eta+- = 0: degree N+1 in w."""
     p = ctx.params
     hom = ModelParams.create(
         (0.0,) * p.n_sites, p.p, p.q, p.xi_plus, p.xi_minus, branch=p.branch
     )
     h = model.hamiltonian_matrix(hom)
-    for u in bethe.circle_nodes(hom, 2 * p.n_sites + 3):
+    for u in bethe.circle_nodes(hom, p.n_sites + 2):
         yield linalg.commutator_norm(h, model.transfer_matrix(u, hom))
 
 
@@ -673,15 +674,25 @@ def _onshell_eigen(ctx: CheckContext) -> Iterator[float]:
 
 @_check("onshell.polynomiality", sites=(1, 2, 3), tol=1e-8)
 def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
-    """On shell, Lambda(u) is its curve's polynomial of degree 2N+2; yields each match error.
+    """On shell, Lambda(u) is its curve's polynomial of degree N+1 in w; yields each match error.
 
-    Times (2u+1) the T-Q relation c Q(u) = A Q(u-1) + D Q(u+1) + R has degree
-    at most 4N+3, and the match tests it at 4N+8 nodes, so it holds for all u.
+    The T-Q relation c Q(u) = A Q(u-1) + D Q(u+1) + R has degree at most 2N+1
+    in w = u(u+1), and the match tests it at 4N+8 w-nodes, so it holds for all u.
     """
     matches = [m for m in _cached_cover(ctx.params, ctx.solver_cfg).matches if m.matched]
     if not matches:
         raise SkipCheck("no converged Bethe solutions to test")
     yield from (m.match_error for m in matches)
+
+
+# Registered last: a check's random stream is seeded by its registry position.
+@_check("foundations.crossing", sites=(1, 2, 3, 4), tol=1e-12)
+def _crossing(ctx: CheckContext) -> Iterator[float]:
+    """t(-u-1) = t(u): the difference is (2u+1) g(w) with g of degree N, so N+1 nodes."""
+    p = ctx.params
+    for u in bethe.circle_nodes(p, p.n_sites + 1):
+        t = model.transfer_matrix(u, p)
+        yield linalg.rel_residual(t - model.transfer_matrix(-u - 1, p), linalg.frobenius(t))
 
 
 # --- engine ------------------------------------------------------------------------------

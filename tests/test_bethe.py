@@ -237,15 +237,17 @@ def test_dense_spectrum_curve_count_and_trace(params_n1, params_n2):
     for params in (params_n1, params_n2):
         curves, points, _ = bethe.dense_spectrum_curves(params)
         assert len(curves) == params.dim
-        # the samples sit at the 2N+3 circle nodes, bitwise as this formula places them
-        k, radius = 2 * params.n_sites + 3, 1.9 + max(abs(t) for t in params.theta)
-        first = bethe.CURVE_CENTER + radius * np.exp(2j * np.pi * np.arange(k) / k)
-        assert np.array_equal(points, first)
+        # the samples sit at the u of the N+2 w-circle nodes, bitwise as this formula places them
+        k, radius = params.n_sites + 2, (1.9 + max(abs(t) for t in params.theta)) ** 2
+        w = radius * np.exp(2j * np.pi * np.arange(k) / k)
+        assert np.array_equal(points, (-1 + np.sqrt(1 + 4 * w)) / 2)
         for u in (0.37 + 0.81j, -1.24 + 0.33j):
             total = sum(c(u) for c in curves)
             tr = np.trace(model.transfer_matrix(u, params))
             assert abs(total - tr) < 1e-10 * max(1, abs(tr))
-        assert all(c.degree <= 2 * params.n_sites + 2 for c in curves)
+        assert all(len(c.coeffs) == params.n_sites + 2 for c in curves)
+        # each curve owns its coefficients, not a view that keeps every sample alive
+        assert all(c.coeffs.base is None for c in curves)
 
 
 def test_cover_spectrum_generic_n2(params_n2):
@@ -325,12 +327,13 @@ def test_coverage_maxima_keep_non_finite_entries():
 def _tq_residual(curve, roots, params):
     """The T-Q residual of ``roots`` against ``curve``, written out from the relation.
 
-    max over the 4N+8 fit points u of |c Q(u) - A Q(u-1) - D Q(u+1) - R| over
-    the largest of the four magnitudes, Q(x) = prod_j (x - l_j)(x + l_j + 1).
+    max over the u of the 4N+8 fit points w of |c Q(u) - A Q(u-1) - D Q(u+1) - R|
+    over the largest of the four magnitudes, Q(x) = prod_j (x - l_j)(x + l_j + 1).
     """
     n_pts = 4 * params.n_sites + 8
-    radius = 1.9 + max(abs(t) for t in params.theta)
-    u = bethe.CURVE_CENTER + radius * np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+    radius = (1.9 + max(abs(t) for t in params.theta)) ** 2
+    w = radius * np.exp(2j * np.pi * (np.arange(n_pts) + 0.5) / n_pts)
+    u = (-1 + np.sqrt(1 + 4 * w)) / 2
     a, d, r = scalars.lambda_terms(u, (), params, params.rho)
 
     def q(x):

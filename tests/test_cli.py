@@ -3,10 +3,11 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from openxxx import bethe, cli, config
+from openxxx import bethe, cli, config, model
 from openxxx.errors import ConfigError
 from openxxx.model import MAX_SITES
 
@@ -148,7 +149,7 @@ def test_cmd_verify_contains_a_named_error_to_its_check(tmp_path):
     doc = {"model": {"p": [1e160, 0.0]}, "output_path": str(out)}
     assert cli.main(["verify", "--config", write_config(tmp_path, doc)]) == 1
     report = json.loads(out.read_text())
-    assert len(report["checks"]) == 72
+    assert len(report["checks"]) == 76
     (entry,) = [
         c for c in report["checks"] if (c["name"], c["n_sites"]) == ("spectrum.completeness", 2)
     ]
@@ -338,6 +339,24 @@ def test_cmd_spectrum_full_match(tmp_path):
     assert doc["unmatched_count"] == 0
     assert all(c["match_error"] <= 1e-8 for c in doc["curves"])
     assert all(c["eigen_residual"] <= 1e-8 for c in doc["curves"])
+
+
+def test_cmd_spectrum_curves_are_their_coefficients_in_w(tmp_path):
+    # each curve is its N+2 ascending coefficients in w = u(u+1); at w(u) for
+    # a u off the sampling circle it is an eigenvalue of t(u)
+    out = tmp_path / "spec.json"
+    assert cli.main(
+        ["spectrum", "--config", write_config(tmp_path, BASE_DOC), "--out", str(out)]
+    ) == 0
+    curves = json.loads(out.read_text())["curves"]
+    cfg = config.parse_config(write_config(tmp_path, BASE_DOC))
+    u = 0.37 + 0.81j
+    eig = np.linalg.eigvals(model.transfer_matrix(u, cfg.model))
+    for c in curves:
+        coeffs = [complex(*z) for z in c["coeffs_w"]]
+        assert len(coeffs) == cfg.model.n_sites + 2
+        value = np.polynomial.polynomial.polyval(u * (u + 1), coeffs)
+        assert np.abs(eig - value).min() <= 1e-10 * np.abs(eig).max()
 
 
 def test_cmd_spectrum_unmatched_reported_exit_zero(tmp_path, capsys):

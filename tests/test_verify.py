@@ -33,6 +33,37 @@ def test_registry_names_are_stable():
     assert verify.registry()["offshell.general"].gating
 
 
+# Each check's random stream is seeded by its registry position, so a check
+# inserted before others would change what they draw: new checks go last.
+REGISTRY_ORDER = [
+    "foundations.yang_baxter", "foundations.gl2_invariance", "foundations.reflection_scalar",
+    "foundations.reflection_dressed", "foundations.transfer_commute",
+    "foundations.trace_vs_entries", "foundations.vacuum_actions", "foundations.b_nilpotency",
+    "foundations.hamiltonian_commutes", "exchange.bb_commute", "exchange.ab_relation",
+    "exchange.db_relation", "exchange.cb_relation", "rotated.k_plus_diagonalization",
+    "rotated.frame_vacuum_actions", "rotated.transfer_from_frame", "rotated.bbar_commute",
+    "offshell.general", "offshell.n4_probe", "offshell.diagonal", "offshell.triangular",
+    "n1.unwanted_term", "n1.g_function", "n1.omega_brackets", "golden.w_n1", "golden.z_n1",
+    "golden.w_n2", "golden.v_n2", "golden.v_n3", "spectrum.completeness",
+    "onshell.eigen_residual", "onshell.polynomiality", "foundations.crossing",
+]
+
+
+def test_registry_order_is_pinned():
+    assert verify.check_names()[:len(REGISTRY_ORDER)] == REGISTRY_ORDER
+
+
+def test_crossing_check_fails_on_a_transfer_matrix_that_is_not_crossing_symmetric(
+    params_n2, monkeypatch
+):
+    build = model.transfer_matrix
+    monkeypatch.setattr(
+        model, "transfer_matrix", lambda u, p: build(u, p) + u * np.eye(p.dim)
+    )
+    report = verify.run_suite(params_n2, checks=["foundations.crossing"], seed=0, n_samples=1)
+    assert [c.verdict for c in report.checks] == ["fail"] * 4
+
+
 def test_select_checks_rejects_unknown():
     with pytest.raises(OpenXXXError):
         verify.select_checks(["no.such.check"])
@@ -248,13 +279,14 @@ def test_hamiltonian_commutes_reads_a_residual_through_overflowing_norms():
 # Residuals each node check yields at N sites: one per node (2 per node for the
 # rotated vacuum, 3 for the vacuum), and one per pair of nodes for [t(u), t(v)].
 NODE_CHECK_YIELDS = {
-    "foundations.transfer_commute": lambda n: (2 * n + 3) * (2 * n + 2) // 2,
+    "foundations.transfer_commute": lambda n: (n + 2) * (n + 1) // 2,
     "foundations.trace_vs_entries": lambda n: 2 * n + 4,
     "foundations.vacuum_actions": lambda n: 3 * (2 * n + 3),
-    "foundations.hamiltonian_commutes": lambda n: 2 * n + 3,
+    "foundations.hamiltonian_commutes": lambda n: n + 2,
     "rotated.k_plus_diagonalization": lambda n: 2,
     "rotated.frame_vacuum_actions": lambda n: 2 * (2 * n + 3),
     "rotated.transfer_from_frame": lambda n: 2 * n + 4,
+    "foundations.crossing": lambda n: n + 1,
 }
 
 
