@@ -1,11 +1,11 @@
 """Numerical solution of the Bethe equations and spectrum completeness checks.
 
 Lambda and BE_k are evaluated in batch by the one kernel in ``scalars``.  One
-damped Newton driver with central-difference Jacobians solves the square
-reduced Bethe system G_k = BE_k / (lambda_k (lambda_k + 1)) = 0 (k = 1..M),
-which has no trivial zero at lambda_k = 0 or -1, for a batch of rows, one
-kernel call per stage: the stacked Jacobian, the full steps and the rest of
-the backtracking ladder, over chunks of at most ``_MAX_ROWS`` rows.  A row
+damped Newton driver solves the square reduced Bethe system
+G_k = BE_k / (lambda_k (lambda_k + 1)) = 0 (k = 1..M), which has no trivial
+zero at lambda_k = 0 or -1, for a batch of rows, one kernel call per stage:
+the residuals with their exact Jacobians, the full steps and the rest of the
+backtracking ladder, over chunks of at most ``_MAX_ROWS`` rows.  A row
 stops when it converges, when no rung of its step lowers the merit, or at
 ``max_iter``.  The blind multistart ``solve_bethe`` feeds it random starts
 drawn around the reflection-symmetric point -1/2.  Every search finishes the
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -39,12 +39,10 @@ from .scalars import BetheRootSet
 
 log = logging.getLogger(__name__)
 
-# Solver driver: the central-difference step (relative to 1 + |lambda|), the
-# Newton step fraction tried first, the rungs of the halving ladder, and the
-# most rows one residual call takes (the widest start batch, 64 * 2^5).  A row
-# stops when it converges, when no rung of its step lowers the merit, or at
-# max_iter.
-_JACOBIAN_STEP = 1e-7
+# Solver driver: the Newton step fraction tried first, the rungs of the halving
+# ladder, and the most rows one residual call takes (the widest start batch,
+# 64 * 2^5).  A row stops when it converges, when no rung of its step lowers
+# the merit, or at max_iter.
 _DAMPING = 1.0
 _BACKTRACK_LIMIT = 10
 _MAX_ROWS = 2048
@@ -84,7 +82,7 @@ class SolverConfig:
 # Both formulas come from the kernel in ``scalars``; rows with a pole come out
 # non-finite, and callers treat those rows as failed.
 
-def be_batch(lam: np.ndarray, params: ModelParams, reduced=False) -> tuple[np.ndarray, np.ndarray]:
+def be_batch(lam: np.ndarray, params: ModelParams, reduced=False, jacobian=False):
     """Residuals and their term scales for a (batch, M) array of root sets.
 
     Returns ``(be, scale)`` with ``be[s, k] = BE_k`` of row ``s`` and
@@ -92,47 +90,42 @@ def be_batch(lam: np.ndarray, params: ModelParams, reduced=False) -> tuple[np.nd
     normalization for convergence tests.  ``reduced`` first divides the three
     addends by the factor lambda_k (lambda_k + 1) they share, giving the
     reduced G_k = BE_k / (lambda_k (lambda_k + 1)) and its scale.
+    ``jacobian`` implies ``reduced`` and appends the (batch, M, M) exact
+    Jacobian dG_k/dlambda_j of ``scalars.reduced_be_jacobian``.
     """
     lam = np.asarray(lam, dtype=complex)
     n = lam.shape[1]
-    # others[i, k] is the i-th root other than root k, laid out (M-1, M, batch)
-    # so each step of the kernel's product runs over contiguous memory
-    others = np.arange(n - 1)[:, None] + np.tril(np.ones((n - 1, n), dtype=int))
+    index = scalars.others_index(n)
     lam_t = np.ascontiguousarray(lam.T)
+    others = lam_t[index]  # (M-1, M, batch): each product over them is one reduction
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1, t2, t3 = scalars.be_terms(lam_t, lam_t[others], params, params.rho)
-        if reduced:
+        t1, t2, t3 = scalars.be_terms(lam_t, others, params, params.rho)
+        if reduced or jacobian:
             w = lam_t * (lam_t + 1)
             t1, t2, t3 = t1 / w, t2 / w, t3 / w
-    be = (t1 + t2 + t3).T
-    scale = np.maximum(np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3)), 1.0).T
-    return be, scale
+        be = t1 + t2 + t3
+        scale = np.maximum(np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3)), 1.0)
+        if not jacobian:
+            return be.T, scale.T
+        diag, off = scalars.reduced_be_jacobian(lam_t, others, be, params, params.rho)
+    jac = np.empty((len(lam), n, n), dtype=complex)
+    jac[:, np.arange(n), index] = off.transpose(2, 0, 1)
+    jac.reshape(len(lam), -1)[:, :: n + 1] = diag.T
+    return be.T, scale.T, jac
 
 
-def _be_residual(lam, params: ModelParams, reduced=True) -> tuple[np.ndarray, np.ndarray]:
-    """The driver's system: reduced G_k rows (printed BE_k unless ``reduced``) and their merit."""
-    be, scale = be_batch(lam, params, reduced)
+def _be_residual(lam, params: ModelParams, reduced=True, jacobian=False):
+    """The driver's system: G_k rows (printed BE_k unless ``reduced``), merits[, Jacobians]."""
+    be, scale, *jac = be_batch(lam, params, reduced, jacobian)
     merit = (np.abs(be) / scale).max(axis=1)
-    return be, np.where(np.isfinite(merit), merit, np.inf)
+    return (be, np.where(np.isfinite(merit), merit, np.inf), *jac)
 
 
 # --- the solver driver ------------------------------------------------------------
 
-def _newton_steps(lam: np.ndarray, r: np.ndarray, residual) -> np.ndarray:
-    """Newton corrections solve(J, -r) for every row of a square system.
-
-    J is the central-difference Jacobian of ``residual``, taken from one call
-    on the 2n copies of every row stepped up and down in each coordinate;
-    NaN rows on failure.
-    """
-    s, n = lam.shape
-    h = _JACOBIAN_STEP * (1.0 + np.abs(lam))
-    diag = np.arange(n)
-    stepped = np.repeat(lam[:, None, :], 2 * n, axis=1)
-    stepped[:, diag, diag] += h
-    stepped[:, n + diag, diag] -= h
-    rs = residual(stepped.reshape(-1, n))[0].reshape(s, 2 * n, n)
-    jac = ((rs[:, :n] - rs[:, n:]) / (2 * h[:, :, None])).transpose(0, 2, 1)
+def _newton_steps(lam: np.ndarray, system) -> np.ndarray:
+    """Newton steps solve(J, -r), NaN rows on failure; r, J from ``system(lam, jacobian=True)``."""
+    r, _, jac = system(lam, jacobian=True)
     delta = np.full_like(lam, np.nan)
     good = np.nonzero(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(r).all(axis=1))[0]
     if good.size:
@@ -147,26 +140,26 @@ def _newton_steps(lam: np.ndarray, r: np.ndarray, residual) -> np.ndarray:
     return delta
 
 
-def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Drive every row of ``lam`` toward ``residual`` merit <= ``cfg.tol``.
+def _damped_solve(lam: np.ndarray, system, cfg: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Drive every row of ``lam`` toward ``system`` merit <= ``cfg.tol``.
 
-    ``residual(rows)`` returns ``(r, merit)``: the residual vectors and a
-    per-row merit that is inf when not finite.  Each iteration walks the
-    active rows in chunks of ``_MAX_ROWS // (2n + _BACKTRACK_LIMIT)``, so no
-    call after the first takes more than ``_MAX_ROWS`` rows.  A chunk makes
-    at most three calls: one for the ``_newton_steps`` Jacobians, one for the
-    full steps ``_DAMPING * delta``, and one for the other rungs of the
-    halving ladder on the rows whose full step did not lower the merit.  Each
-    row takes its first rung that lowers the merit.  A row stops when it
-    converges, when no rung lowers its merit or its step is not finite (it
-    keeps its lam, r and merit, and every call works row by row, so a retry
-    would repeat that step), or at ``cfg.max_iter``.  The r of an accepted
-    step feeds the next Jacobian step.  Returns the final rows and merits.
+    ``system(rows)`` returns ``(r, merit)``: the residual vectors and a
+    per-row merit that is inf when not finite; ``jacobian=True`` appends the
+    Jacobians.  Each iteration walks the active rows in chunks of
+    ``_MAX_ROWS // _BACKTRACK_LIMIT``, so no call after the first takes more
+    than ``_MAX_ROWS`` rows.  A chunk makes at most three calls: the
+    ``_newton_steps`` one, one for the full steps ``_DAMPING * delta``, and
+    one for the other rungs of the halving ladder on the rows whose full step
+    did not lower the merit.  Each row takes its first rung that lowers the
+    merit.  A row stops when it converges, when no rung lowers its merit or
+    its step is not finite (it keeps its lam and merit, and every call works
+    row by row, so a retry would repeat that step), or at ``cfg.max_iter``.
+    Returns the final rows and merits.
     """
     lam = lam.copy()
-    r, merit = residual(lam)
+    merit = system(lam)[1]
     n = lam.shape[1]
-    chunk = _MAX_ROWS // (2 * n + _BACKTRACK_LIMIT)
+    chunk = _MAX_ROWS // _BACKTRACK_LIMIT
     ladder = _DAMPING * 0.5 ** np.arange(_BACKTRACK_LIMIT)
     active = merit > cfg.tol
     for _ in range(cfg.max_iter):
@@ -175,7 +168,7 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
             break
         for rows in np.split(todo, range(chunk, todo.size, chunk)):
             la = lam[rows]
-            delta = _newton_steps(la, r[rows], residual)
+            delta = _newton_steps(la, system)
             base = merit[rows]
             active[rows] = False
             pending = np.nonzero(np.isfinite(delta).all(axis=1))[0]
@@ -183,12 +176,12 @@ def _damped_solve(lam: np.ndarray, residual, cfg: SolverConfig) -> tuple[np.ndar
                 if pending.size == 0:
                     break
                 cand = (la[pending, None] + alphas[:, None] * delta[pending, None]).reshape(-1, n)
-                cand_r, cand_merit = residual(cand)
+                cand_merit = system(cand)[1]
                 better = cand_merit.reshape(pending.size, -1) < base[pending, None]
                 hit = better.any(axis=1)
                 take = np.nonzero(hit)[0] * alphas.size + better.argmax(axis=1)[hit]
                 dst = rows[pending[hit]]
-                lam[dst], r[dst], merit[dst] = cand[take], cand_r[take], cand_merit[take]
+                lam[dst], merit[dst] = cand[take], cand_merit[take]
                 active[dst] = True
                 pending = pending[~hit]
         active &= (merit > cfg.tol) & np.isfinite(lam).all(axis=1)
@@ -245,7 +238,7 @@ def solve_bethe(
     n_starts = cfg.starts_for(params.n_sites)
     sigma = 1.0 + max((abs(t) for t in params.theta), default=0.0)
     lam = _draw_starts(rng, n_starts, params.n_sites, sigma)
-    lam, merit = _damped_solve(lam, lambda rows: _be_residual(rows, params), cfg)
+    lam, merit = _damped_solve(lam, partial(_be_residual, params=params), cfg)
     found = _certify(lam[merit <= cfg.tol], params, cfg.tol, stats)
     stats["n_starts"] = n_starts
     if not found:
@@ -409,7 +402,7 @@ def curve_roots(
     q, *_ = np.linalg.lstsq(lhs[keep] / scale, rhs[keep] / scale[:, 0], rcond=None)
     w = np.polynomial.polynomial.polyroots(np.append(q, 1.0))
     lam = ((-1 + np.sqrt(1 + 4 * w.astype(complex))) / 2)[None, :]
-    lam, merit = _damped_solve(lam, lambda rows: _be_residual(rows, params), cfg)
+    lam, merit = _damped_solve(lam, partial(_be_residual, params=params), cfg)
     return _certify(lam[merit <= cfg.tol], params, cfg.tol)
 
 

@@ -6,17 +6,20 @@ BE_k, the off-shell factor F, and the twelve exchange-relation structure
 functions.  All are rational; every public single-point evaluation is
 guarded against its poles with an absolute epsilon of ``model.POLE_EPS`` on
 the offending linear factor.  Lambda and BE_k share one unguarded kernel,
-``lambda_terms``, which also evaluates numpy batches for the solvers.  The
-kernel cancels the removable factors u+p and p-u-1 of the rho term, so the
-guards cover only 2u+1 and the root factors u-lambda_j, u+lambda_j+1.
+``lambda_terms``, which also evaluates numpy batches for the solvers; its
+factors give the exact Jacobian of the reduced BE_k in ``reduced_be_jacobian``.
+The kernel cancels the removable factors u+p and p-u-1 of the rho term, so
+the guards cover only 2u+1 and the root factors u-lambda_j, u+lambda_j+1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from operator import mul
+
+import numpy as np
 
 from .errors import ParameterError, PoleError
 from .model import POLE_EPS, ModelParams
@@ -36,13 +39,16 @@ def _guard(factor: complex, description: str) -> complex:
 # accept complex numbers and numpy arrays alike; the public entry points
 # after them add the pole guards for single points.
 
+def _theta_factors(u, params: ModelParams):
+    """(u+1)^2 - theta_j^2 and u^2 - theta_j^2, each stacked over j along a new first axis."""
+    theta2 = np.square(params.theta).reshape((-1,) + (1,) * getattr(u, "ndim", 0))
+    return (u + 1) * (u + 1) - theta2, u * u - theta2
+
+
 def _theta_products(u, params: ModelParams):
     """prod_j ((u+1)^2 - theta_j^2) and prod_j (u^2 - theta_j^2)."""
-    plus = minus = 1
-    for t in params.theta:
-        plus = plus * ((u + 1) ** 2 - t ** 2)
-        minus = minus * (u ** 2 - t ** 2)
-    return plus, minus
+    plus, minus = _theta_factors(u, params)
+    return np.multiply.reduce(plus), np.multiply.reduce(minus)
 
 
 def _lambda1(u, params: ModelParams, plus):
@@ -157,6 +163,7 @@ def _guard_eigenvalue_point(u, lams) -> complex:
     return u
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def lambda_terms(u, roots, params: ModelParams, rho):
     """The three addends of the eigenvalue Lambda(u) for Bethe roots ``roots``.
 
@@ -167,23 +174,23 @@ def lambda_terms(u, roots, params: ModelParams, rho):
     addend is evaluated as 2 rho u(u+1) prod_j ((u+1)^2 - theta_j^2)(u^2 -
     theta_j^2) prod_j g(u, l_j): u = -p and u = p-1 are no poles.  This is the
     one implementation of both Lambda and BE_k.  It is unguarded and works on
-    complex numbers and on numpy arrays: ``u`` and every item of ``roots``
-    broadcast together (iterating an array runs along its first axis), and a
-    pole gives non-finite entries.  ``rho`` is an argument because Lambda and
-    BE_k are affine in it for fixed roots, which yields the rho-split parts.
+    complex numbers and on numpy arrays of M roots of u's shape, reducing over
+    the roots and the theta_j along a first axis; a pole gives non-finite
+    entries.  ``rho`` is an argument because Lambda and BE_k are affine in it
+    for fixed roots, which yields the rho-split parts.
     """
     plus, minus = _theta_products(u, params)
-    t1 = _alpha_bar(u, params, rho) * _lambda1(u, params, plus)
-    t2 = _delta_bar(u, params, rho) * _lambda2(u, params, minus)
-    t3 = 2 * rho * u * (u + 1) * plus * minus
-    for lam in roots:
-        diff = u - lam
-        summ = u + lam + 1
-        pole = diff * summ
-        t1 = t1 * ((diff - 1) * (summ - 1) / pole)
-        t2 = t2 * ((diff + 1) * (summ + 1) / pole)
-        t3 = t3 / pole
-    return t1, t2, t3
+    lams = np.asarray(roots, dtype=complex).reshape((-1,) + getattr(u, "shape", ()))
+    f, h, pole = (np.multiply.reduce(x) for x in _pair_factors(u, lams))
+    t1 = _alpha_bar(u, params, rho) * _lambda1(u, params, plus) * f / pole
+    t2 = _delta_bar(u, params, rho) * _lambda2(u, params, minus) * h / pole
+    return t1, t2, 2 * rho * u * (u + 1) * plus * minus / pole
+
+
+def _pair_factors(u, lams):
+    """(d-1)(s-1) = d s - 2u, (d+1)(s+1) = d s + 2u + 2 and d s, d = u - l, s = u + l + 1."""
+    pole = (u - lams) * (lams + (u + 1))
+    return pole - 2 * u, pole + (2 * u + 2), pole
 
 
 def be_terms(lam_k, others, params: ModelParams, rho):
@@ -197,6 +204,44 @@ def be_terms(lam_k, others, params: ModelParams, rho):
     """
     t1, t2, t3 = lambda_terms(lam_k, others, params, rho)
     return -2 * lam_k * t1, 2 * (lam_k + 1) * t2, t3
+
+
+@lru_cache(maxsize=16)
+def others_index(n: int) -> np.ndarray:
+    """``others[i, k]`` is the i-th of 0..n-1 other than k, shape (n-1, n)."""
+    return np.arange(n - 1)[:, None] + np.tril(np.ones((max(n - 1, 0), n), dtype=int))
+
+
+def _excluding(factors):
+    """For each i, the product along axis 1 of ``factors`` without factor i; no division."""
+    return np.multiply.reduce(factors[:, others_index(factors.shape[1])], axis=1)
+
+
+def reduced_be_jacobian(lam_k, others, g, params: ModelParams, rho):
+    """dG_k/du and dG_k/dl_j (stacked like ``others``) of G_k = BE_k / (u(u+1)) = ``g``.
+
+    At u = lambda_k, ``be_terms`` over u(u+1) is G_k = (A1 F + A2 H + A3) / D:
+    F, H, D are the products over the others l_j of the pair factors (d-1)(s-1),
+    (d+1)(s+1), d s, A1 = -4 a b P / (2u+1), A2 = 4 a2 b2 M / (2u+1) and A3 =
+    2 rho P M, with a = (1-rho) u + q, b = u + p, a2 = q - (1-rho)(u+1), b2 =
+    p - u - 1 and P, M the theta products.  dG_k/dl_j = (2 l_j + 1)(G_k D_j -
+    A1 F_j - A2 H_j) / D, X_j being X without l_j's pair factor, and dG_k/du is
+    the product rule: nothing is divided by one of its own factors, so an exact
+    zero (a root at -p or p-1) leaves every entry finite.  Unguarded.
+    """
+    u, q, p = lam_k, params.q, params.p
+    pairs, theta = np.array(_pair_factors(u, others)), np.array(_theta_factors(u, params))
+    (f, h, big_d), (plus, minus) = (np.multiply.reduce(x, axis=1) for x in (pairs, theta))
+    f_j, h_j, d_j = excluded = _excluding(pairs)
+    dplus, dminus = _excluding(theta).sum(1) * np.array((2 * u + 2, 2 * u))
+    a, b, a2, b2, c = (1 - rho) * u + q, u + p, q - (1 - rho) * (u + 1), p - u - 1, 2 * u + 1
+    big_a1, big_a2 = -4 * a * b * plus / c, 4 * a2 * b2 * minus / c
+    da1 = (-4 * ((1 - rho) * b * plus + a * plus + a * b * dplus) - 2 * big_a1) / c
+    da2 = (4 * ((rho - 1) * b2 * minus - a2 * minus + a2 * b2 * dminus) - 2 * big_a2) / c
+    diag = da1 * f + da2 * h + 2 * rho * (dplus * minus + plus * dminus) - g * c * d_j.sum(0)
+    diag += (2 * u - 1) * big_a1 * f_j.sum(0) + (2 * u + 3) * big_a2 * h_j.sum(0)
+    off = (excluded * np.array((-big_a1, -big_a2, g))[:, None]).sum(0)
+    return diag / big_d, (2 * others + 1) * off / big_d
 
 
 def _eigenvalue_at(u, roots, params: ModelParams, rho) -> complex:
@@ -280,7 +325,10 @@ def roots_admissible(roots, params: ModelParams) -> bool:
     lies at 0, where BE_k vanishes identically, or at the pole -1/2.  No set
     holds both theta_j and -theta_j, where prod_j (u^2 - theta_j^2) and
     f(theta_j, -theta_j) make both BE_k vanish whatever the other roots are.
-    Roots at -p and p-1, which the kernel cancels, are admissible.
+    No pair zeroes a factor d, s, d -+ 1, s -+ 1 of the kernel's pair factors
+    (d = l_i - l_j, s = l_i + l_j + 1): d s = 0 is a pole, and a pair l, -l
+    near 0 solves both its G_k to O(|l|) whatever the other roots are.  Roots
+    at -p and p-1, which the kernel cancels, are admissible.
     """
     lams = _root_values(roots)
 
@@ -291,9 +339,8 @@ def roots_admissible(roots, params: ModelParams) -> bool:
         return False
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
-            if abs(lams[i] - lams[j]) < ROOT_SEPARATION:
-                return False
-            if abs(lams[i] + lams[j] + 1) < ROOT_SEPARATION:
+            d, s = lams[i] - lams[j], lams[i] + lams[j] + 1
+            if min(abs(x + e) for x in (d, s) for e in (-1, 0, 1)) < ROOT_SEPARATION:
                 return False
     return True
 

@@ -1,7 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
-from openxxx import bethe, config, model, scalars, vectors
+from openxxx import bethe, config, model, scalars, vectors, verify
 from openxxx.bethe import SolverConfig
 
 from conftest import XI_MINUS, eigvals_error, make_params
@@ -38,6 +40,46 @@ def test_driver_rows_times_the_trivial_factor_are_be(params_n3, rng):
     assert np.all(np.abs(g * lam * (lam + 1) - be) <= 1e-14 * scale)
 
 
+def _central_jacobian(lam, params, h=1e-6):
+    """Central differences of the driver's rows G_k, one column per root."""
+    cols = []
+    for step in h * np.eye(lam.shape[1]):
+        plus, minus = (bethe._be_residual(lam + sign * step, params)[0] for sign in (1, -1))
+        cols.append((plus - minus) / (2 * h))
+    return np.stack(cols, axis=-1)
+
+
+def _jacobian_error(lam, params):
+    """Each row's largest |exact - central| entry relative to its largest exact entry."""
+    jac = bethe._be_residual(lam, params, jacobian=True)[2]
+    assert np.isfinite(jac).all()
+    err = np.abs(jac - _central_jacobian(lam, params)).max(axis=(1, 2))
+    return err / np.abs(jac).max(axis=(1, 2))
+
+
+@pytest.mark.parametrize("boundary", [
+    {}, {"xi_minus": 0.0}, {"xi_plus": 0.0, "xi_minus": 0.0},
+], ids=["generic", "triangular", "diagonal"])
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_exact_jacobian_matches_central_differences(n_sites, boundary):
+    rng = np.random.default_rng(n_sites)
+    params = verify.random_params(rng, n_sites).replace_couplings(**boundary)
+    lam = bethe._draw_starts(rng, 100, n_sites, 1.0)
+    assert _jacobian_error(lam, params).max() <= 1e-6
+
+
+def test_jacobian_is_finite_where_the_kernel_cancels_a_factor(params_n3):
+    # a root at -p zeroes the factor u + p of the first addend, one at p - 1
+    # the factor p - u - 1 of the second; the two points are each other's
+    # reflection, so a set holding both sits on the pole u + l + 1 = 0 and
+    # each gets a set of its own
+    p = params_n3
+    for point in (-p.p, p.p - 1):
+        lam = np.array([[point, 0.43 + 0.77j, -0.21 - 0.53j]])
+        assert scalars.roots_admissible(lam[0], p)
+        assert _jacobian_error(lam, p)[0] <= 1e-6
+
+
 # Off-shell points at which a returned set's Lambda must be an eigenvalue of t(u).
 EIGVALS_POINTS = (0.31 + 0.12j, -0.87 + 0.64j, 0.68 - 0.79j)
 
@@ -58,6 +100,25 @@ def test_spurious_set_near_the_trivial_zero_fails_the_driver_merit():
     assert eigvals_error(SPURIOUS_N3, params, EIGVALS_POINTS) > 1e-3
     assert bethe._be_residual(lam, params, reduced=False)[1][0] <= cfg.solver.tol
     assert bethe._be_residual(lam, params)[1][0] > cfg.solver.tol
+
+
+# A set the blind solve on the default N = 3 model (seed 0) returned once its
+# Newton steps used exact Jacobians: G_k of both roots of a pair l, -l falls as
+# |l| whatever the third root is, so the pair near 0 passes the driver merit.
+PAIR_N3 = (
+    -6.193553087063819e-07 - 8.08545487306003e-07j,
+    6.193553090394488e-07 + 8.085454868252589e-07j,
+    0.8576663116412222 + 0.15257531790848916j,
+)
+
+
+def test_a_pair_l_minus_l_near_zero_passes_the_merit_and_fails_the_guards():
+    cfg = config.default_config()
+    params = cfg.model.with_sites(3)
+    assert eigvals_error(PAIR_N3, params, EIGVALS_POINTS) > 1e-3
+    assert bethe._be_residual(np.array([PAIR_N3]), params)[1][0] <= cfg.solver.tol
+    assert not scalars.roots_admissible(PAIR_N3, params)
+    assert scalars.roots_admissible(PAIR_N3[1:], params)
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -141,20 +202,21 @@ def _count_calls(monkeypatch, *names):
 def test_one_row_polish_makes_at_most_three_kernel_calls_per_iteration(params_n3, rng, monkeypatch):
     counts = _count_calls(monkeypatch, "be_batch", "_newton_steps")
     start = -0.5 + rng.standard_normal((1, 3)) + 1j * rng.standard_normal((1, 3))
-    residual = lambda rows: bethe._be_residual(rows, params_n3)  # noqa: E731
-    bethe._damped_solve(start, residual, SolverConfig(max_iter=30))
-    # one row is one chunk, so each iteration makes one _newton_steps call
+    system = partial(bethe._be_residual, params=params_n3)
+    bethe._damped_solve(start, system, SolverConfig(max_iter=30))
+    # one row is one chunk, so each iteration makes one _newton_steps call, whose
+    # residuals and Jacobian are one kernel call, then at most two ladder calls
     assert counts["_newton_steps"] >= 1
     assert counts["be_batch"] <= 1 + 3 * counts["_newton_steps"]
 
 
 def test_batched_solve_agrees_with_solving_each_row_alone(params_n3):
-    # 300 rows at M = 3 walk in chunks of _MAX_ROWS // 16 = 128 rows
+    # 300 rows walk in chunks of _MAX_ROWS // _BACKTRACK_LIMIT = 204 rows
     starts = bethe._draw_starts(np.random.default_rng(5), 300, 3, 1.5)
-    residual = lambda rows: bethe._be_residual(rows, params_n3)  # noqa: E731
+    system = partial(bethe._be_residual, params=params_n3)
     cfg = SolverConfig()
-    lam, merit = bethe._damped_solve(starts, residual, cfg)
-    alone = [bethe._damped_solve(row[None, :], residual, cfg) for row in starts]
+    lam, merit = bethe._damped_solve(starts, system, cfg)
+    alone = [bethe._damped_solve(row[None, :], system, cfg) for row in starts]
     alone_lam = np.concatenate([a[0] for a in alone])
     alone_merit = np.concatenate([a[1] for a in alone])
     assert np.count_nonzero(merit <= cfg.tol) > 0
@@ -164,7 +226,7 @@ def test_batched_solve_agrees_with_solving_each_row_alone(params_n3):
 
 
 def test_no_kernel_call_is_wider_than_the_start_batch_or_the_row_cap(params_n3, monkeypatch):
-    # unchunked, 600 starts at M = 3 would make 3,600-row Jacobian calls
+    # unchunked, 600 starts would make 5,400-row calls for the last nine ladder rungs
     counts = _count_calls(monkeypatch, "be_batch")
     bethe.solve_bethe(params_n3, SolverConfig(n_starts=600, seed=2))
     assert counts["be_batch"] > 0
@@ -173,16 +235,19 @@ def test_no_kernel_call_is_wider_than_the_start_batch_or_the_row_cap(params_n3, 
 
 @pytest.mark.parametrize("kind", ["constant", "flat_merit"])
 def test_a_row_no_step_improves_stops_after_one_newton_stage(kind, monkeypatch):
-    # a constant residual has a singular Jacobian, so no finite step; r = lam
-    # gives the finite step -lam, but its merit stays 1 on every rung
+    # a constant residual has a zero Jacobian, so no finite step; r = lam with
+    # the identity Jacobian gives the finite step -lam, but its merit stays 1
+    # on every rung
     counts = _count_calls(monkeypatch, "_newton_steps")
     start = np.array([[0.3 + 0.1j, -0.7 + 0.2j, 1.1 - 0.5j]] * 4)
 
-    def residual(rows):
-        r = np.ones_like(rows) if kind == "constant" else rows.copy()
-        return r, np.ones(len(rows))
+    def system(rows, jacobian=False):
+        constant = kind == "constant"
+        r = np.ones_like(rows) if constant else rows.copy()
+        jac = np.zeros((len(rows), 3, 3)) if constant else np.tile(np.eye(3), (len(rows), 1, 1))
+        return (r, np.ones(len(rows))) + ((jac,) if jacobian else ())
 
-    lam, merit = bethe._damped_solve(start, residual, SolverConfig())
+    lam, merit = bethe._damped_solve(start, system, SolverConfig())
     assert counts["_newton_steps"] == 1
     np.testing.assert_array_equal(lam, start)
     np.testing.assert_array_equal(merit, 1.0)
@@ -190,21 +255,21 @@ def test_a_row_no_step_improves_stops_after_one_newton_stage(kind, monkeypatch):
 
 def test_rejected_rows_come_back_unchanged_after_one_newton_stage_per_chunk(params_n3,
                                                                            monkeypatch):
-    residual = lambda rows: bethe._be_residual(rows, params_n3)  # noqa: E731
+    system = partial(bethe._be_residual, params=params_n3)
     lam, merit = bethe._damped_solve(
-        bethe._draw_starts(np.random.default_rng(5), 300, 3, 1.5), residual, SolverConfig()
+        bethe._draw_starts(np.random.default_rng(5), 300, 3, 1.5), system, SolverConfig()
     )
     stuck = lam[merit > SolverConfig().tol]
     # keep the rows that stopped before max_iter: one more iteration leaves them as they are
-    again, _ = bethe._damped_solve(stuck, residual, SolverConfig(max_iter=1))
+    again, _ = bethe._damped_solve(stuck, system, SolverConfig(max_iter=1))
     rejected = stuck[(again == stuck).all(axis=1)]
-    chunk = bethe._MAX_ROWS // (2 * 3 + bethe._BACKTRACK_LIMIT)
+    chunk = bethe._MAX_ROWS // bethe._BACKTRACK_LIMIT
     assert len(rejected) > chunk
     counts = _count_calls(monkeypatch, "_newton_steps")
-    out, out_merit = bethe._damped_solve(rejected, residual, SolverConfig())
+    out, out_merit = bethe._damped_solve(rejected, system, SolverConfig())
     assert counts["_newton_steps"] == int(np.ceil(len(rejected) / chunk))
     np.testing.assert_array_equal(out, rejected)
-    np.testing.assert_array_equal(out_merit, residual(rejected)[1])
+    np.testing.assert_array_equal(out_merit, system(rejected)[1])
 
 
 def test_certify_of_no_rows_makes_no_kernel_call(params_n3, monkeypatch):

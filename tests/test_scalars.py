@@ -172,6 +172,28 @@ def test_rho_term_is_the_printed_form_with_removable_factors_cancelled(params_n3
         assert abs(t3 - printed) <= 1e-12 * abs(printed)
 
 
+def test_kernel_reductions_match_the_printed_products(params_n3, rng):
+    # lambda_terms reduces over the roots and the theta_j as whole arrays; the
+    # reference multiplies the printed factors one by one
+    p = params_n3
+    lams = (0.43 + 0.77j, -0.21 - 0.53j, 1.13 + 0.29j)
+    for _ in range(20):
+        u = complex(*rng.uniform(-1.5, 1.5, 2))
+        plus = minus = 1
+        for t in p.theta:
+            plus, minus = plus * ((u + 1) ** 2 - t ** 2), minus * (u ** 2 - t ** 2)
+        t1 = scalars.alpha_bar(u, p) * (u + p.p) * plus
+        t2 = scalars.delta_bar(u, p) * (2 * u / (2 * u + 1)) * (p.p - u - 1) * minus
+        t3 = 2 * p.rho * u * (u + 1) * plus * minus
+        for lam in lams:
+            d, s = u - lam, u + lam + 1
+            t1 = t1 * (d - 1) * (s - 1) / (d * s)
+            t2 = t2 * (d + 1) * (s + 1) / (d * s)
+            t3 = t3 / (d * s)
+        for got, want in zip(scalars.lambda_terms(u, lams, p, p.rho), (t1, t2, t3)):
+            assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_lambda_and_be_are_finite_at_minus_p_and_p_minus_1(params_n2):
     p = params_n2
     lams = (0.43 + 0.77j, -0.21 - 0.53j)
