@@ -87,11 +87,13 @@ def be_batch(lam: np.ndarray, params: ModelParams, reduced=False, jacobian=False
 
     Returns ``(be, scale)`` with ``be[s, k] = BE_k`` of row ``s`` and
     ``scale`` the largest addend magnitude (floored at 1), the natural
-    normalization for convergence tests.  ``reduced`` first divides the three
-    addends by the factor lambda_k (lambda_k + 1) they share, giving the
-    reduced G_k = BE_k / (lambda_k (lambda_k + 1)) and its scale.
-    ``jacobian`` implies ``reduced`` and appends the (batch, M, M) exact
-    Jacobian dG_k/dlambda_j of ``scalars.reduced_be_jacobian``.
+    normalization for convergence tests.  ``reduced`` gives G_k =
+    BE_k / (lambda_k (lambda_k + 1)) and its scale instead, from the addends
+    of ``scalars.reduced_be_terms``, which cancel that factor: G_k is finite
+    at lambda_k = 0 and -1.  ``jacobian`` implies ``reduced`` and appends the
+    (batch, M, M) exact Jacobian dG_k/dlambda_j.  A call forms the pair and
+    theta factors once; the Jacobian's products without one factor come from
+    scans of them, so an exact zero factor leaves every entry finite.
     """
     lam = np.asarray(lam, dtype=complex)
     n = lam.shape[1]
@@ -99,15 +101,17 @@ def be_batch(lam: np.ndarray, params: ModelParams, reduced=False, jacobian=False
     lam_t = np.ascontiguousarray(lam.T)
     others = lam_t[index]  # (M-1, M, batch): each product over them is one reduction
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        t1, t2, t3 = scalars.be_terms(lam_t, others, params, params.rho)
         if reduced or jacobian:
-            w = lam_t * (lam_t + 1)
-            t1, t2, t3 = t1 / w, t2 / w, t3 / w
+            t1, t2, t3, *derivatives = scalars.reduced_be_terms(
+                lam_t, others, params, params.rho, jacobian
+            )
+        else:
+            t1, t2, t3 = scalars.be_terms(lam_t, others, params, params.rho)
         be = t1 + t2 + t3
         scale = np.maximum(np.maximum(np.maximum(np.abs(t1), np.abs(t2)), np.abs(t3)), 1.0)
-        if not jacobian:
-            return be.T, scale.T
-        diag, off = scalars.reduced_be_jacobian(lam_t, others, be, params, params.rho)
+    if not jacobian:
+        return be.T, scale.T
+    diag, off = derivatives
     jac = np.empty((len(lam), n, n), dtype=complex)
     jac[:, np.arange(n), index] = off.transpose(2, 0, 1)
     jac.reshape(len(lam), -1)[:, :: n + 1] = diag.T

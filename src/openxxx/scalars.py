@@ -6,10 +6,13 @@ BE_k, the off-shell factor F, and the twelve exchange-relation structure
 functions.  All are rational; every public single-point evaluation is
 guarded against its poles with an absolute epsilon of ``model.POLE_EPS`` on
 the offending linear factor.  Lambda and BE_k share one unguarded kernel,
-``lambda_terms``, which also evaluates numpy batches for the solvers; its
-factors give the exact Jacobian of the reduced BE_k in ``reduced_be_jacobian``.
-The kernel cancels the removable factors u+p and p-u-1 of the rho term, so
-the guards cover only 2u+1 and the root factors u-lambda_j, u+lambda_j+1.
+``reduced_be_terms``, the addends of G_k = BE_k / (lambda_k (lambda_k + 1))
+with that factor cancelled, so finite at lambda_k = 0 and -1.  It also
+evaluates numpy batches for the solvers with one pass over the factors per
+call, and gives G_k's exact Jacobian from prefix and suffix scans of them,
+finite where a factor is exactly 0.  The kernel cancels the removable
+factors u+p and p-u-1 of the rho term, so the guards cover only 2u+1 and
+the root factors u-lambda_j, u+lambda_j+1.
 """
 
 from __future__ import annotations
@@ -35,28 +38,15 @@ def _guard(factor: complex, description: str) -> complex:
     return factor
 
 
-# The vacuum eigenvalues and dressed coefficients below are unguarded and
+# The theta factors and dressed coefficients below are unguarded and
 # accept complex numbers and numpy arrays alike; the public entry points
 # after them add the pole guards for single points.
 
 def _theta_factors(u, params: ModelParams):
-    """(u+1)^2 - theta_j^2 and u^2 - theta_j^2, each stacked over j along a new first axis."""
-    theta2 = np.square(params.theta).reshape((-1,) + (1,) * getattr(u, "ndim", 0))
-    return (u + 1) * (u + 1) - theta2, u * u - theta2
-
-
-def _theta_products(u, params: ModelParams):
-    """prod_j ((u+1)^2 - theta_j^2) and prod_j (u^2 - theta_j^2)."""
-    plus, minus = _theta_factors(u, params)
-    return np.multiply.reduce(plus), np.multiply.reduce(minus)
-
-
-def _lambda1(u, params: ModelParams, plus):
-    return (u + params.p) * plus
-
-
-def _lambda2(u, params: ModelParams, minus):
-    return (2 * u / (2 * u + 1)) * (params.p - u - 1) * minus
+    """(u+1)^2 - theta_j^2 and u^2 - theta_j^2, stacked as shape (2, N) + u's shape."""
+    ones = (1,) * getattr(u, "ndim", 0)
+    shift = np.array([1.0, 0.0]).reshape((2, 1) + ones)
+    return np.square(u + shift) - np.square(params.theta).reshape((-1,) + ones)
 
 
 def _alpha_bar(u, params: ModelParams, rho):
@@ -70,14 +60,15 @@ def _delta_bar(u, params: ModelParams, rho):
 def lambda1(u, params: ModelParams) -> complex:
     """Vacuum eigenvalue of the A entry: (u+p) prod_j ((u+1)^2 - theta_j^2)."""
     u = complex(u)
-    return _lambda1(u, params, _theta_products(u, params)[0])
+    return (u + params.p) * np.multiply.reduce(_theta_factors(u, params)[0])
 
 
 def lambda2(u, params: ModelParams) -> complex:
     """Vacuum eigenvalue of the D entry: (2u/(2u+1))(p-u-1) prod_j (u^2 - theta_j^2)."""
     u = complex(u)
     _guard(2 * u + 1, "2u+1")
-    return _lambda2(u, params, _theta_products(u, params)[1])
+    minus = np.multiply.reduce(_theta_factors(u, params)[1])
+    return (2 * u / (2 * u + 1)) * (params.p - u - 1) * minus
 
 
 def alpha_bar(u, params: ModelParams) -> complex:
@@ -169,79 +160,102 @@ def lambda_terms(u, roots, params: ModelParams, rho):
 
     Returns ``(alpha_bar lambda1 prod_j f(u, l_j), delta_bar lambda2 prod_j
     h(u, l_j), rho c(u) lambda1 lambda2 prod_j g(u, l_j))`` with
-    c(u) = (u+1)(2u+1)/((u+p)(p-u-1)) and g = 1/((u-l)(u+l+1)).  The factors
-    u+p of lambda1 and p-u-1 of lambda2 cancel c's denominator, so the third
-    addend is evaluated as 2 rho u(u+1) prod_j ((u+1)^2 - theta_j^2)(u^2 -
-    theta_j^2) prod_j g(u, l_j): u = -p and u = p-1 are no poles.  This is the
-    one implementation of both Lambda and BE_k.  It is unguarded and works on
-    complex numbers and on numpy arrays of M roots of u's shape, reducing over
-    the roots and the theta_j along a first axis; a pole gives non-finite
-    entries.  ``rho`` is an argument because Lambda and BE_k are affine in it
-    for fixed roots, which yields the rho-split parts.
+    c(u) = (u+1)(2u+1)/((u+p)(p-u-1)) and g = 1/((u-l)(u+l+1)), as the
+    addends of ``reduced_be_terms`` at u over all the roots times -(u+1)/2,
+    u/2 and u(u+1).  The factors u+p of lambda1 and p-u-1 of lambda2 cancel
+    c's denominator, so u = -p and u = p-1 are no poles.  This is the one
+    implementation of Lambda.  It is unguarded and works on complex numbers
+    and on numpy arrays of M roots of u's shape stacked along a first axis;
+    a pole gives non-finite entries.  ``rho`` is an argument because Lambda
+    and BE_k are affine in it for fixed roots, which yields the rho-split parts.
     """
-    plus, minus = _theta_products(u, params)
     lams = np.asarray(roots, dtype=complex).reshape((-1,) + getattr(u, "shape", ()))
-    f, h, pole = (np.multiply.reduce(x) for x in _pair_factors(u, lams))
-    t1 = _alpha_bar(u, params, rho) * _lambda1(u, params, plus) * f / pole
-    t2 = _delta_bar(u, params, rho) * _lambda2(u, params, minus) * h / pole
-    return t1, t2, 2 * rho * u * (u + 1) * plus * minus / pole
+    t1, t2, t3 = reduced_be_terms(u, lams, params, rho)
+    return -(u + 1) / 2 * t1, u / 2 * t2, u * (u + 1) * t3
 
 
 def _pair_factors(u, lams):
-    """(d-1)(s-1) = d s - 2u, (d+1)(s+1) = d s + 2u + 2 and d s, d = u - l, s = u + l + 1."""
-    pole = (u - lams) * (lams + (u + 1))
-    return pole - 2 * u, pole + (2 * u + 2), pole
+    """(d-1)(s-1) = d s - 2u, (d+1)(s+1) = d s + 2u + 2 and d s, d = u-l, s = u+l+1, stacked."""
+    pairs = np.empty((3,) + lams.shape, dtype=complex)  # in place: slot 0 holds s first
+    np.subtract(u, lams, out=pairs[2])
+    pairs[2] *= np.add(lams, u + 1, out=pairs[0])
+    np.subtract(pairs[2], 2 * u, out=pairs[0])
+    np.add(pairs[2], 2 * u + 2, out=pairs[1])
+    return pairs
+
+
+def _products(factors, exclusive: bool):
+    """Products along axis 1 of stacked ``factors`` and, if ``exclusive``, each without factor j.
+
+    A prefix scan and a suffix scan give the exclusive products: nothing is
+    divided, so an exact zero factor leaves every entry finite.
+    """
+    if not exclusive:
+        return np.multiply.reduce(factors, axis=1), None
+    excluded = np.empty_like(factors)
+    excluded[:, :1] = 1
+    for j in range(1, factors.shape[1]):
+        np.multiply(excluded[:, j - 1], factors[:, j - 1], out=excluded[:, j])
+    total = np.ones(factors.shape[:1] + factors.shape[2:], dtype=complex)
+    for j in reversed(range(factors.shape[1])):
+        excluded[:, j] *= total
+        total *= factors[:, j]
+    return total, excluded
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def reduced_be_terms(u, lams, params: ModelParams, rho, jacobian=False):
+    """The three addends of G_k = BE_k / (u(u+1)) at u = lambda_k, the others being ``lams``.
+
+    G_k = (A1 F + A2 H + 2 rho P M) / D with A1 = k1 P, A2 = k2 M, k1 =
+    -4 (q + (1-rho) u)(u + p) / (2u+1), k2 = 4 (q - (1-rho)(u+1))(p - u - 1)
+    / (2u+1), P, M the products over the theta_j of (u+1)^2 - theta_j^2 and
+    u^2 - theta_j^2, and F, H, D those over the l_j of (d-1)(s-1), (d+1)(s+1)
+    and d s.  Nothing is divided by u(u+1), so G_k is finite at u = 0 and -1.
+    Each call forms the theta and the pair factors once, reducing the theta
+    stack before it makes the pair stack.  ``jacobian`` appends dG_k/du and
+    dG_k/dl_j (stacked like ``lams``), dG_k/dl_j = -(2 l_j + 1)(A1 F_j +
+    A2 H_j - G_k D_j) / D with X_j the product X without l_j's factor, and
+    dG_k/du by the product rule.  The X_j come from the scans of
+    ``_products``, so an exact zero factor (a root at -p, p-1 or +-theta_j)
+    leaves every entry finite.  Unguarded; arrays as in ``lambda_terms``.
+    """
+    theta, theta_excluded = _products(_theta_factors(u, params), jacobian)
+    pairs, excluded = _products(_pair_factors(u, lams), jacobian)
+    q, p, c = params.q, params.p, 2 * u + 1
+    k1 = -4 * ((1 - rho) * u + q) * (u + p) / c
+    k2 = 4 * (q - (1 - rho) * (u + 1)) * (p - u - 1) / c
+    big_a1, big_a2 = k1 * theta[0], k2 * theta[1]
+    t1, t2 = big_a1 * pairs[0] / pairs[2], big_a2 * pairs[1] / pairs[2]
+    t3 = 2 * rho * theta[0] * theta[1] / pairs[2]
+    if not jacobian:
+        return t1, t2, t3
+    dplus, dminus = theta_excluded.sum(1) * np.array((2 * u + 2, 2 * u))
+    da1 = (-4 * ((1 - rho) * (2 * u + p) + q) - 2 * k1) / c * theta[0] + k1 * dplus
+    da2 = (4 * ((1 - rho) * (2 * u + 2 - p) - q) - 2 * k2) / c * theta[1] + k2 * dminus
+    diag = da1 * pairs[0] + da2 * pairs[1] + 2 * rho * (dplus * theta[1] + theta[0] * dminus)
+    coef = np.array((big_a1, big_a2, -(t1 + t2 + t3)))
+    # dF/du = (2u-1) sum_j F_j, dH/du = (2u+3) sum_j H_j, dD/du = (2u+1) sum_j D_j
+    diag += (coef * np.array((c - 2, c + 2, c)) * excluded.sum(1)).sum(0)
+    off = (coef[:, None] * excluded).sum(0)
+    return t1, t2, t3, diag / pairs[2], -(2 * lams + 1) * off / pairs[2]
 
 
 def be_terms(lam_k, others, params: ModelParams, rho):
-    """The three addends of BE_k, from the residue of Lambda at u = lambda_k.
+    """The three addends of BE_k: those of ``reduced_be_terms`` times lambda_k (lambda_k + 1).
 
     BE_k = (2 lambda_k + 1) Res_{u=lambda_k} Lambda(u): only the k-th root's
     f, h and g factors have a pole there, with residues -2 lambda_k,
-    2 (lambda_k + 1) and 1 over (2 lambda_k + 1).  So BE_k is the kernel at
-    u = lambda_k over the ``others`` times (-2 lambda_k, 2 (lambda_k + 1), 1).
-    Arrays are accepted as in ``lambda_terms``.
+    2 (lambda_k + 1) and 1 over (2 lambda_k + 1).  Arrays as in ``lambda_terms``.
     """
-    t1, t2, t3 = lambda_terms(lam_k, others, params, rho)
-    return -2 * lam_k * t1, 2 * (lam_k + 1) * t2, t3
+    w = lam_k * (lam_k + 1)
+    return tuple(w * t for t in reduced_be_terms(lam_k, others, params, rho))
 
 
 @lru_cache(maxsize=16)
 def others_index(n: int) -> np.ndarray:
     """``others[i, k]`` is the i-th of 0..n-1 other than k, shape (n-1, n)."""
     return np.arange(n - 1)[:, None] + np.tril(np.ones((max(n - 1, 0), n), dtype=int))
-
-
-def _excluding(factors):
-    """For each i, the product along axis 1 of ``factors`` without factor i; no division."""
-    return np.multiply.reduce(factors[:, others_index(factors.shape[1])], axis=1)
-
-
-def reduced_be_jacobian(lam_k, others, g, params: ModelParams, rho):
-    """dG_k/du and dG_k/dl_j (stacked like ``others``) of G_k = BE_k / (u(u+1)) = ``g``.
-
-    At u = lambda_k, ``be_terms`` over u(u+1) is G_k = (A1 F + A2 H + A3) / D:
-    F, H, D are the products over the others l_j of the pair factors (d-1)(s-1),
-    (d+1)(s+1), d s, A1 = -4 a b P / (2u+1), A2 = 4 a2 b2 M / (2u+1) and A3 =
-    2 rho P M, with a = (1-rho) u + q, b = u + p, a2 = q - (1-rho)(u+1), b2 =
-    p - u - 1 and P, M the theta products.  dG_k/dl_j = (2 l_j + 1)(G_k D_j -
-    A1 F_j - A2 H_j) / D, X_j being X without l_j's pair factor, and dG_k/du is
-    the product rule: nothing is divided by one of its own factors, so an exact
-    zero (a root at -p or p-1) leaves every entry finite.  Unguarded.
-    """
-    u, q, p = lam_k, params.q, params.p
-    pairs, theta = np.array(_pair_factors(u, others)), np.array(_theta_factors(u, params))
-    (f, h, big_d), (plus, minus) = (np.multiply.reduce(x, axis=1) for x in (pairs, theta))
-    f_j, h_j, d_j = excluded = _excluding(pairs)
-    dplus, dminus = _excluding(theta).sum(1) * np.array((2 * u + 2, 2 * u))
-    a, b, a2, b2, c = (1 - rho) * u + q, u + p, q - (1 - rho) * (u + 1), p - u - 1, 2 * u + 1
-    big_a1, big_a2 = -4 * a * b * plus / c, 4 * a2 * b2 * minus / c
-    da1 = (-4 * ((1 - rho) * b * plus + a * plus + a * b * dplus) - 2 * big_a1) / c
-    da2 = (4 * ((rho - 1) * b2 * minus - a2 * minus + a2 * b2 * dminus) - 2 * big_a2) / c
-    diag = da1 * f + da2 * h + 2 * rho * (dplus * minus + plus * dminus) - g * c * d_j.sum(0)
-    diag += (2 * u - 1) * big_a1 * f_j.sum(0) + (2 * u + 3) * big_a2 * h_j.sum(0)
-    off = (excluded * np.array((-big_a1, -big_a2, g))[:, None]).sum(0)
-    return diag / big_d, (2 * others + 1) * off / big_d
 
 
 def _eigenvalue_at(u, roots, params: ModelParams, rho) -> complex:
@@ -271,7 +285,7 @@ def eigenvalue_Lambda_gen(u, roots, params: ModelParams) -> complex:
 
 def _bethe_terms_at(k: int, roots, params: ModelParams, rho):
     lams = _root_values(roots)
-    others = lams[:k] + lams[k + 1:]
+    others = np.array(lams[:k] + lams[k + 1:], dtype=complex)
     lam_k = _guard_eigenvalue_point(lams[k], others)
     return be_terms(lam_k, others, params, rho)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -72,12 +73,42 @@ def test_jacobian_is_finite_where_the_kernel_cancels_a_factor(params_n3):
     # a root at -p zeroes the factor u + p of the first addend, one at p - 1
     # the factor p - u - 1 of the second; the two points are each other's
     # reflection, so a set holding both sits on the pole u + l + 1 = 0 and
-    # each gets a set of its own
+    # each gets a set of its own.  A lone root at +-theta_j zeroes the theta
+    # factor u^2 - theta_j^2, where a log-derivative would divide by 0.
     p = params_n3
-    for point in (-p.p, p.p - 1):
+    for point in (-p.p, p.p - 1, p.theta[0], -p.theta[0]):
         lam = np.array([[point, 0.43 + 0.77j, -0.21 - 0.53j]])
         assert scalars.roots_admissible(lam[0], p)
         assert _jacobian_error(lam, p)[0] <= 1e-6
+
+
+def test_reduced_rows_and_jacobian_are_finite_at_the_trivial_zero(params_n3):
+    # G_k = BE_k / (l_k (l_k + 1)) has that factor cancelled, not divided out:
+    # at l_k = 0 or -1 the rows and the Jacobian take their limits
+    others = [0.43 + 0.77j, -0.21 - 0.53j]
+    for point in (0.0, -1.0):
+        lam = np.array([[point, *others], [point + 1e-7, *others]])
+        g, _, jac = bethe._be_residual(lam, params_n3, jacobian=True)
+        assert np.isfinite(g).all() and np.isfinite(jac).all()
+        assert np.abs(g[0] - g[1]).max() <= 1e-5 * np.abs(g[1]).max()
+        assert np.abs(jac[0] - jac[1]).max() <= 1e-5 * np.abs(jac[1]).max()
+
+
+def test_kernel_memory_peaks_stay_within_budget():
+    # N = 5: a residual call on the driver's widest batch and a Jacobian call
+    # on one Newton chunk; traced peaks 3.6 MB and 1.1 MB when this was
+    # written.  Holding the pair and theta stacks at once doubled the first.
+    params = verify.random_params(np.random.default_rng(5), 5)
+    chunk = bethe._MAX_ROWS // bethe._BACKTRACK_LIMIT
+    for rows, jacobian, budget in ((bethe._MAX_ROWS, False, 4 * 2**20), (chunk, True, 1.6e6)):
+        lam = bethe._draw_starts(np.random.default_rng(rows), rows, 5, 1.0)
+        tracemalloc.start()
+        try:
+            bethe.be_batch(lam, params, reduced=True, jacobian=jacobian)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (rows, jacobian, peak)
 
 
 # Off-shell points at which a returned set's Lambda must be an eigenvalue of t(u).
