@@ -342,7 +342,7 @@ def dense_spectrum_curves(params: ModelParams) -> tuple[list[Eigencurve], np.nda
     """
     k = params.n_sites + 2
     points = circle_nodes(params, k)
-    samples = np.array([model.transfer_matrix(u, params) for u in points])
+    samples = model.transfer_matrix(points, params)
     radius = (points[0] * (points[0] + 1)).real  # node 0 sits at w = R
     coeff_mats = np.fft.fft(samples, axis=0) / (k * radius ** np.arange(k)[:, None, None])
     weights = np.array([1, 1j]) @ np.random.default_rng(_MIX_SEED).standard_normal((2, k))

@@ -8,6 +8,8 @@ Other factor orders come from ``np.kron`` and the swap P: R13 = P23 R12 P23.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError
@@ -36,12 +38,14 @@ def frobenius(a) -> float:
     """Frobenius norm, finite whenever it is representable.
 
     The plain norm squares the entries, so finite entries above ~1e154 overflow
-    it to inf; those are rescaled by their largest real or imaginary part.
+    it to inf; those are rescaled by their largest real or imaginary part.  It
+    is ``np.linalg.norm``'s own arithmetic, bit for bit, without its dispatch.
     """
     a = np.asarray(a)
+    flat = a.ravel(order="K")
     with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(a))
-    if norm == np.inf and np.isfinite(a).all():
+        norm = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
+    if norm == math.inf and np.isfinite(a).all():
         big = float(max(np.abs(a.real).max(), np.abs(a.imag).max()))
         norm = big * float(np.linalg.norm(a / big))
     return norm

@@ -3,7 +3,8 @@
 Builds the rational R-matrix, the scalar boundary matrices, the dressed
 monodromy, the A/B/C/D operator entries, the transfer matrix in both its
 trace and entry forms, and the Hamiltonian.  Each object has one builder
-and every builder returns fresh complex ndarrays.  Conventions:
+and every builder returns fresh complex ndarrays; the monodromy builders take
+a point or an array of points, batch axes first.  Conventions:
 
   * auxiliary space = tensor factor 0 (leftmost), chain sites 1..N follow;
   * spin up = basis index 0, so the pseudo-vacuum is the first basis vector;
@@ -28,6 +29,10 @@ POLE_EPS = 1e-6
 # complex t(u) samples, several copies at once: 201 MB per copy at N = 10,
 # 872 MB at N = 11.
 MAX_SITES = 10
+
+# Most complex entries ``open_k_matrix`` works on at once (128 KiB): a longer
+# batch of points is walked in chunks, so each step stays in cache.
+_CHUNK_ENTRIES = 8192
 
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)
@@ -213,38 +218,62 @@ def _swap_columns(a: int, b: int, n_factors: int) -> np.ndarray:
     return swapped
 
 
+def pointwise(fn, u, count: int = 1) -> np.ndarray:
+    """``count`` Python-complex values fn(x) per point x of ``u``: (count,) + u.shape + (1, 1)."""
+    u = np.asarray(u, dtype=complex)
+    values = np.array([fn(complex(x)) for x in u.flat], dtype=complex)
+    return values.reshape(u.size, count).T.reshape((count,) + u.shape + (1, 1))
+
+
+def _times_r(k: np.ndarray, shift, j: int, n_sites: int, taken: np.ndarray) -> None:
+    """k <- k R_0j(shift) = shift k + k P_0j in place, ``taken`` holding k P_0j."""
+    k.take(_swap_columns(0, j, n_sites + 1), axis=-1, out=taken, mode="clip")
+    np.multiply(shift, k, out=k)
+    k += taken
+
+
 def open_k_matrix(u, params: ModelParams) -> np.ndarray:
     """Dressed monodromy T K- That = R_01...R_0N (K- x I) R_0N...R_01 on aux x chain.
 
     T has the factors R_0j(u - th_j), That R_0j(u + th_j).  Built from the
     identity by column operations alone: right-multiplying by R_0j(x) =
     x + P_0j is a scaled add of permuted columns, and K- x I scales the
-    aux-up / aux-down column blocks.
+    aux-up / aux-down column blocks.  An array ``u`` gives u's shape followed
+    by (2^(N+1), 2^(N+1)), built in chunks of ``_CHUNK_ENTRIES``.
     """
-    u = complex(u)
+    u = np.asarray(u, dtype=complex)
     n, d = params.n_sites, params.dim
-    k = np.eye(2 * d, dtype=complex)
-    for j in range(1, n + 1):
-        k = (u - params.theta[j - 1]) * k + k[:, _swap_columns(0, j, n + 1)]
-    k[:, :d] *= params.p + u
-    k[:, d:] *= params.p - u
-    for j in range(n, 0, -1):
-        k = (u + params.theta[j - 1]) * k + k[:, _swap_columns(0, j, n + 1)]
-    return k
+    out = np.empty(u.shape + (2 * d, 2 * d), dtype=complex)
+    points, ks = u.reshape(-1, 1, 1), out.reshape(-1, 2 * d, 2 * d)
+    step = max(1, _CHUNK_ENTRIES // (4 * d * d))
+    for start in range(0, len(points), step):
+        x, k = points[start:start + step], ks[start:start + step]
+        k[...] = np.eye(2 * d)
+        taken = np.empty_like(k)
+        for j in range(1, n + 1):
+            _times_r(k, x - params.theta[j - 1], j, n, taken)
+        k[..., :d] *= params.p + x
+        k[..., d:] *= params.p - x
+        for j in range(n, 0, -1):
+            _times_r(k, x + params.theta[j - 1], j, n, taken)
+    return out
 
 
-def guard_half(u) -> complex:
-    u = complex(u)
-    if abs(u + 0.5) < POLE_EPS:
-        raise PoleError(f"spectral parameter {u} within {POLE_EPS} of the pole at -1/2")
+def guard_half(u) -> np.ndarray:
+    """``u`` as a complex array, after checking no point is within POLE_EPS of -1/2."""
+    u = np.asarray(u, dtype=complex)
+    near = np.abs(u + 0.5) < POLE_EPS
+    if near.any():
+        raise PoleError(f"spectral parameter {complex(u[near][0])} within {POLE_EPS} of -1/2")
     return u
 
 
 def split_entries(k: np.ndarray, u) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A, B, C and D - A/(2u+1): the aux blocks of ``k``, the last with its A part removed."""
-    d = k.shape[0] // 2
-    a = k[:d, :d]
-    return a, k[:d, d:], k[d:, :d], k[d:, d:] - a / (2 * u + 1)
+    d = k.shape[-1] // 2
+    a = k[..., :d, :d]
+    pole = 2 * np.asarray(u)[..., None, None] + 1
+    return a, k[..., :d, d:], k[..., d:, :d], k[..., d:, d:] - a / pole
 
 
 def entry_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -255,12 +284,12 @@ def entry_matrices(u, params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.n
 
 def transfer_matrix(u, params: ModelParams) -> np.ndarray:
     """Transfer matrix Tr_aux(K+ K); polynomial in u, defined everywhere."""
-    kp = k_plus_matrix(u, params)
+    k11, k12, k21, k22 = pointwise(lambda x: k_plus_matrix(x, params).ravel(), u, 4)
     k = open_k_matrix(u, params)
     d = params.dim
     return (
-        kp[0, 0] * k[:d, :d] + kp[0, 1] * k[d:, :d]
-        + kp[1, 0] * k[:d, d:] + kp[1, 1] * k[d:, d:]
+        k11 * k[..., :d, :d] + k12 * k[..., d:, :d]
+        + k21 * k[..., :d, d:] + k22 * k[..., d:, d:]
     )
 
 
@@ -270,13 +299,11 @@ def transfer_matrix_from_entries(u, params: ModelParams) -> np.ndarray:
     Equals the trace form away from u = -1/2, where the entry split has a
     removable pole.
     """
-    u = guard_half(u)
     a, b, c, d = entry_matrices(u, params)
-    return (
-        (2 * (u + params.q) * (u + 1) / (2 * u + 1)) * a
-        + (u + 1) * (params.xi_minus * b + params.xi_plus * c)
-        + (params.q - u - 1) * d
+    c_a, c_bc, c_d = pointwise(
+        lambda x: (2 * (x + params.q) * (x + 1) / (2 * x + 1), x + 1, params.q - x - 1), u, 3
     )
+    return c_a * a + c_bc * (params.xi_minus * b + params.xi_plus * c) + c_d * d
 
 
 def hamiltonian_matrix(params: ModelParams) -> np.ndarray:

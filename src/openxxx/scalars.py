@@ -30,6 +30,8 @@ from .model import POLE_EPS, ModelParams
 # Separation below which two roots (or a root and a reflection partner) are
 # considered degenerate and the set is rejected.
 ROOT_SEPARATION = 1e-8
+# A pair within this of 0 (or -1) is the blind search's attractor l, -l.
+ATTRACTOR_RADIUS = 1e-3
 
 
 def _guard(factor: complex, description: str) -> complex:
@@ -339,10 +341,11 @@ def roots_admissible(roots, params: ModelParams) -> bool:
     lies at 0, where BE_k vanishes identically, or at the pole -1/2.  No set
     holds both theta_j and -theta_j, where prod_j (u^2 - theta_j^2) and
     f(theta_j, -theta_j) make both BE_k vanish whatever the other roots are.
-    No pair zeroes a factor d, s, d -+ 1, s -+ 1 of the kernel's pair factors
-    (d = l_i - l_j, s = l_i + l_j + 1): d s = 0 is a pole, and a pair l, -l
-    near 0 solves both its G_k to O(|l|) whatever the other roots are.  Roots
-    at -p and p-1, which the kernel cancels, are admissible.
+    No pair zeroes d or s (d = l_i - l_j, s = l_i + l_j + 1): d s = 0 is a
+    pole.  A pair within ``ATTRACTOR_RADIUS`` of 0 zeroes no d -+ 1, s -+ 1
+    either: l, -l near 0 solves both its G_k to O(|l|) whatever the other
+    roots are, while away from 0 it is a genuine near 2-string.  Roots at -p
+    and p-1, which the kernel cancels, are admissible.
     """
     lams = _root_values(roots)
 
@@ -354,7 +357,9 @@ def roots_admissible(roots, params: ModelParams) -> bool:
     for i in range(len(lams)):
         for j in range(i + 1, len(lams)):
             d, s = lams[i] - lams[j], lams[i] + lams[j] + 1
-            if min(abs(x + e) for x in (d, s) for e in (-1, 0, 1)) < ROOT_SEPARATION:
+            near = max(min(abs(x), abs(x + 1)) for x in (lams[i], lams[j])) < ATTRACTOR_RADIUS
+            shifts = (-1, 0, 1) if near else (0,)
+            if min(abs(x + e) for x in (d, s) for e in shifts) < ROOT_SEPARATION:
                 return False
     return True
 

@@ -4,7 +4,8 @@ The conjectured eigenvectors are N-fold products of the dressed creation
 operator Bbar acting on the all-up vacuum.  This module builds Bbar
 (``b_bar_matrix``), the rotated entries Abar..Dbar obtained by diagonalizing
 the left boundary matrix (``rotated_entry_matrices``), and the vectors
-themselves (on or off shell).  The lowering-string contraction Z^N is the
+themselves (on or off shell), each Bbar and rotated entry at a point or an
+array of points.  The lowering-string contraction Z^N is the
 coefficient of the all-down vector in a pure B-string; a leaking or
 non-finite string raises ``ContractionError``.  The paper's closed-form
 coefficients W (Bethe vector over undressed B-strings) and V (B(u)|Omega> over
@@ -27,10 +28,11 @@ CONTRACTION_TOL = 1e-12
 
 def b_bar_matrix(lam, params: ModelParams) -> np.ndarray:
     """Dressed creation operator B + c((2u/(2u+1))A - D) - c^2 C with c = rho/xi-."""
-    lam = model.guard_half(lam)
     a, b, c_op, d = model.entry_matrices(lam, params)
+    (ratio,) = model.pointwise(lambda x: 2 * x / (2 * x + 1), lam)
     c = params.c_ratio
-    return b + c * ((2 * lam / (2 * lam + 1)) * a - d) - c ** 2 * c_op
+    # Not c * (...): numpy's in-place reuse of a large temporary swaps the operands.
+    return b + np.multiply(c, ratio * a - d) - c ** 2 * c_op
 
 
 @dataclass(frozen=True)
@@ -78,12 +80,11 @@ def rotated_k_matrix(u, params: ModelParams) -> np.ndarray:
     """scale * Q0^{-1} K0(u) Q0 on aux x chain."""
     frame = RotatedFrame.from_params(params)
     k = model.open_k_matrix(u, params)
-    d = params.dim
     # Q0 = Q x I only mixes the 2x2 aux blocks of K.
-    kbar = np.einsum(
-        "ac,cidj,db->aibj", frame.scale * frame.q_inverse, k.reshape(2, d, 2, d), frame.q_matrix
-    )
-    return kbar.reshape(2 * d, 2 * d)
+    blocks = k.reshape(k.shape[:-2] + (2, params.dim, 2, params.dim))
+    q_inverse = frame.scale * frame.q_inverse
+    kbar = np.einsum("ac,...cidj,db->...aibj", q_inverse, blocks, frame.q_matrix)
+    return kbar.reshape(k.shape)
 
 
 def rotated_entry_matrices(
@@ -113,7 +114,7 @@ def bethe_vector_tails(roots, params: ModelParams) -> tuple[list, list]:
         raise ContractionError(
             f"{len(lams)} lowering operators annihilate a chain of {params.n_sites} sites"
         )
-    ops = [b_bar_matrix(lam, params) for lam in lams]
+    ops = list(b_bar_matrix(np.array(lams, dtype=complex), params))
     return ops, operator_tails(ops, model.pseudo_vacuum(params.n_sites))
 
 
@@ -128,7 +129,7 @@ def build_bethe_vector(roots, params: ModelParams) -> np.ndarray:
 
 def _b_string_vector(values, params: ModelParams) -> np.ndarray:
     """B(x_1)...B(x_m)|Omega> (undressed lowering string)."""
-    ops = [model.entry_matrices(x, params)[1] for x in values]
+    ops = list(model.entry_matrices(np.array(values, dtype=complex), params)[1])
     return operator_tails(ops, model.pseudo_vacuum(params.n_sites))[0]
 
 

@@ -7,7 +7,8 @@ one-variable polynomial identity of degree d is evaluated at d + 1 nodes of
 the curve circle in w = u(u+1), which tests it for all u: d is the degree in
 w for t(u) alone (t(-u-1) = t(u)), in u for the A, B, C, D entries.  The
 on-shell checks read the spectrum cover, and the other identities are
-evaluated at randomly sampled spectral points.  The engine alone reduces
+evaluated at randomly sampled spectral points, all drawn before one batched
+build.  The engine alone reduces
 them: the reported residual is the worst one, a non-finite sample makes it
 non-finite, and a check passes only when it yielded at least one residual
 and the worst is within tolerance.  Residuals are always normalized by the
@@ -166,10 +167,10 @@ def _reflection_dressed(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
     eye2, chain = np.eye(2, dtype=complex), np.eye(p.dim, dtype=complex)
     p01 = np.kron(model.PERMUTATION, chain)
-    for _ in range(ctx.n_samples):
-        u, v = ctx.draw_point(), ctx.draw_point()
-        k1 = p01 @ np.kron(eye2, model.open_k_matrix(u, p)) @ p01
-        k2 = np.kron(eye2, model.open_k_matrix(v, p))
+    pairs = [(ctx.draw_point(), ctx.draw_point()) for _ in range(ctx.n_samples)]
+    for (u, v), (k_u, k_v) in zip(pairs, model.open_k_matrix(np.array(pairs), p)):
+        k1 = p01 @ np.kron(eye2, k_u) @ p01
+        k2 = np.kron(eye2, k_v)
         rm = np.kron(model.r_matrix(u - v), chain)
         rp = np.kron(model.r_matrix(u + v), chain)
         lhs = rm @ k1 @ rp @ k2
@@ -181,7 +182,7 @@ def _reflection_dressed(ctx: CheckContext) -> Iterator[float]:
 def _transfer_commute(ctx: CheckContext) -> Iterator[float]:
     """[t(u), t(v)]: degree N+1 in w(u) and w(v), zero at u = v: pairs i < j of N+2 nodes."""
     p = ctx.params
-    ts = [model.transfer_matrix(u, p) for u in bethe.circle_nodes(p, p.n_sites + 2)]
+    ts = model.transfer_matrix(bethe.circle_nodes(p, p.n_sites + 2), p)
     for t_u, t_v in itertools.combinations(ts, 2):
         yield linalg.commutator_norm(t_u, t_v)
 
@@ -189,9 +190,9 @@ def _transfer_commute(ctx: CheckContext) -> Iterator[float]:
 @_check("foundations.trace_vs_entries", sites=(1, 2, 3), tol=1e-12)
 def _trace_vs_entries(ctx: CheckContext) -> Iterator[float]:
     """Trace form against the entry recombination: degree 2N+3 with (2u+1) cleared."""
-    for u in bethe.circle_nodes(ctx.params, 2 * ctx.n_sites + 4):
-        t_trace = model.transfer_matrix(u, ctx.params)
-        t_entries = model.transfer_matrix_from_entries(u, ctx.params)
+    nodes = bethe.circle_nodes(ctx.params, 2 * ctx.n_sites + 4)
+    traces = model.transfer_matrix(nodes, ctx.params)
+    for t_trace, t_entries in zip(traces, model.transfer_matrix_from_entries(nodes, ctx.params)):
         yield linalg.rel_residual(t_trace - t_entries, linalg.frobenius(t_trace))
 
 
@@ -200,8 +201,9 @@ def _vacuum_actions(ctx: CheckContext) -> Iterator[float]:
     """A, D and C on the vacuum: degree 2N+2 with (2u+1) cleared."""
     p = ctx.params
     omega = model.pseudo_vacuum(p.n_sites)
-    for u in bethe.circle_nodes(p, 2 * p.n_sites + 3):
-        a, _, c, d = model.entry_matrices(u, p)
+    nodes = bethe.circle_nodes(p, 2 * p.n_sites + 3)
+    a_all, _, c_all, d_all = model.entry_matrices(nodes, p)
+    for u, a, c, d in zip(nodes, a_all, c_all, d_all):
         yield from (
             linalg.rel_residual(a @ omega - scalars.lambda1(u, p) * omega, linalg.frobenius(a)),
             linalg.rel_residual(d @ omega - scalars.lambda2(u, p) * omega, linalg.frobenius(d)),
@@ -213,9 +215,9 @@ def _vacuum_actions(ctx: CheckContext) -> Iterator[float]:
 def _b_nilpotency(ctx: CheckContext) -> Iterator[float]:
     """An (N+1)-fold lowering string annihilates the vacuum exactly."""
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        points = [ctx.draw_point(centers=(-0.5,)) for _ in range(p.n_sites + 1)]
-        bs = [model.entry_matrices(x, p)[1] for x in points]
+    n = p.n_sites + 1
+    points = [[ctx.draw_point(centers=(-0.5,)) for _ in range(n)] for _ in range(ctx.n_samples)]
+    for bs in model.entry_matrices(np.array(points), p)[1]:
         vec = vectors.operator_tails(bs[::-1], model.pseudo_vacuum(p.n_sites))[0]
         yield linalg.frobenius(vec) / math.prod(max(linalg.frobenius(b), 1.0) for b in bs)
 
@@ -228,16 +230,19 @@ def _hamiltonian_commutes(ctx: CheckContext) -> Iterator[float]:
         (0.0,) * p.n_sites, p.p, p.q, p.xi_plus, p.xi_minus, branch=p.branch
     )
     h = model.hamiltonian_matrix(hom)
-    for u in bethe.circle_nodes(hom, p.n_sites + 2):
-        yield linalg.commutator_norm(h, model.transfer_matrix(u, hom))
+    for t in model.transfer_matrix(bethe.circle_nodes(hom, p.n_sites + 2), hom):
+        yield linalg.commutator_norm(h, t)
 
 
 # --- exchange relations -----------------------------------------------------------
 
-def _draw_exchange_pair(ctx: CheckContext) -> tuple[complex, complex]:
-    u = ctx.draw_point(centers=(-0.5,))
-    v = ctx.draw_point(centers=(-0.5, u, -u - 1))
-    return u, v
+def _exchange_pairs(ctx: CheckContext) -> list[tuple[complex, complex]]:
+    """``n_samples`` pairs u, v clear of -1/2 and of v = u, -u - 1."""
+    pairs = []
+    for _ in range(ctx.n_samples):
+        u = ctx.draw_point(centers=(-0.5,))
+        pairs.append((u, ctx.draw_point(centers=(-0.5, u, -u - 1))))
+    return pairs
 
 
 def _term_scale(*mats) -> float:
@@ -246,20 +251,16 @@ def _term_scale(*mats) -> float:
 
 @_check("exchange.bb_commute", sites=(1, 2, 3), tol=1e-11)
 def _exchange_bb(ctx: CheckContext) -> Iterator[float]:
-    for _ in range(ctx.n_samples):
-        u, v = _draw_exchange_pair(ctx)
-        bu = model.entry_matrices(u, ctx.params)[1]
-        bv = model.entry_matrices(v, ctx.params)[1]
+    for bu, bv in model.entry_matrices(np.array(_exchange_pairs(ctx)), ctx.params)[1]:
         yield linalg.commutator_norm(bu, bv)
 
 
 @_check("exchange.ab_relation", sites=(1, 2, 3), tol=1e-10)
 def _exchange_ab(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        u, v = _draw_exchange_pair(ctx)
-        au, bu = model.entry_matrices(u, p)[:2]
-        av, bv, _, dv = model.entry_matrices(v, p)
+    pairs = _exchange_pairs(ctx)
+    a, b, _, d = model.entry_matrices(np.array(pairs), p)
+    for (u, v), (au, av), (bu, bv), (_, dv) in zip(pairs, a, b, d):
         terms = (
             au @ bv,
             -scalars.structure_fn("f", u, v) * (bv @ au),
@@ -272,10 +273,9 @@ def _exchange_ab(ctx: CheckContext) -> Iterator[float]:
 @_check("exchange.db_relation", sites=(1, 2, 3), tol=1e-10)
 def _exchange_db(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        u, v = _draw_exchange_pair(ctx)
-        _, bu, _, du = model.entry_matrices(u, p)
-        av, bv, _, dv = model.entry_matrices(v, p)
+    pairs = _exchange_pairs(ctx)
+    a, b, _, d = model.entry_matrices(np.array(pairs), p)
+    for (u, v), (_, av), (bu, bv), (du, dv) in zip(pairs, a, b, d):
         terms = (
             du @ bv,
             -scalars.structure_fn("h", u, v) * (bv @ du),
@@ -288,10 +288,9 @@ def _exchange_db(ctx: CheckContext) -> Iterator[float]:
 @_check("exchange.cb_relation", sites=(1, 2, 3), tol=1e-10)
 def _exchange_cb(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        u, v = _draw_exchange_pair(ctx)
-        au, _, cu, du = model.entry_matrices(u, p)
-        av, bv, _, dv = model.entry_matrices(v, p)
+    pairs = _exchange_pairs(ctx)
+    a, b, c, d = model.entry_matrices(np.array(pairs), p)
+    for (u, v), (au, av), (_, bv), (cu, _), (du, dv) in zip(pairs, a, b, c, d):
         s = scalars.structure_fn
         terms = (
             cu @ bv - bv @ cu,
@@ -332,8 +331,9 @@ def _rotated_vacuum(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
     omega = model.pseudo_vacuum(p.n_sites)
     c = p.c_ratio
-    for u in bethe.circle_nodes(p, 2 * p.n_sites + 3):
-        abar, bbar, _, dbar = vectors.rotated_entry_matrices(u, p)
+    nodes = bethe.circle_nodes(p, 2 * p.n_sites + 3)
+    abars, bbars, _, dbars = vectors.rotated_entry_matrices(nodes, p)
+    for u, abar, bbar, dbar in zip(nodes, abars, bbars, dbars):
         bvac = bbar @ omega
         res_a = abar @ omega - frame.scale * scalars.lambda1(u, p) * omega + c * bvac
         res_d = (
@@ -350,21 +350,18 @@ def _rotated_transfer(ctx: CheckContext) -> Iterator[float]:
     """t(u) from the rotated entries: degree 2N+3 with (2u+1) cleared."""
     frame = _require_frame(ctx)
     p = ctx.params
-    for u in bethe.circle_nodes(p, 2 * p.n_sites + 4):
-        abar, _, _, dbar = vectors.rotated_entry_matrices(u, p)
+    nodes = bethe.circle_nodes(p, 2 * p.n_sites + 4)
+    abars, _, _, dbars = vectors.rotated_entry_matrices(nodes, p)
+    for u, abar, dbar, t in zip(nodes, abars, dbars, model.transfer_matrix(nodes, p)):
         t_frame = (
             scalars.alpha_bar(u, p) * abar + scalars.delta_bar(u, p) * dbar
         ) / frame.scale
-        t = model.transfer_matrix(u, p)
         yield linalg.rel_residual(t - t_frame, linalg.frobenius(t))
 
 
 @_check("rotated.bbar_commute", sites=(1, 2, 3), tol=1e-10)
 def _rotated_bbar_commute(ctx: CheckContext) -> Iterator[float]:
-    for _ in range(ctx.n_samples):
-        u, v = _draw_exchange_pair(ctx)
-        bu = vectors.b_bar_matrix(u, ctx.params)
-        bv = vectors.b_bar_matrix(v, ctx.params)
+    for bu, bv in vectors.b_bar_matrix(np.array(_exchange_pairs(ctx)), ctx.params):
         yield linalg.commutator_norm(bu, bv)
 
 
@@ -374,18 +371,20 @@ def offshell_residuals(params: ModelParams, roots, points) -> Iterator[float]:
     """Relative residual of the off-shell equation at each of ``points``.
 
     Bbar(lam_j), BE_k and the tails Bbar(lam_k+1)...Bbar(lam_M)|Omega> (Phi first) are built
-    once; Phi_k is Bbar(lam_1)...Bbar(lam_k-1) Bbar(u) on tail k+1, as build_bethe_vector does.
+    once, t(u) and Bbar(u) (none without roots) in one call each for all points; Phi_k is
+    Bbar(lam_1)...Bbar(lam_k-1) Bbar(u) on tail k+1, as build_bethe_vector does.
     A vanishing Phi certifies nothing: a zero scale gives inf.
     """
     lams = [complex(r) for r in roots]
+    points = [complex(u) for u in points]
     bbars, (phi, *tails) = vectors.bethe_vector_tails(lams, params)
     be = [scalars.bethe_residual(k, lams, params) for k in range(len(lams))]
-    for u in map(complex, points):
-        t = model.transfer_matrix(u, params)
+    ts = model.transfer_matrix(np.array(points), params)
+    b_us = vectors.b_bar_matrix(np.array(points), params) if lams else [None] * len(points)
+    for u, t, b_u in zip(points, ts, b_us):
         lhs = t @ phi - scalars.eigenvalue_Lambda(u, lams, params) * phi
-        b_u = [vectors.b_bar_matrix(u, params)] if lams else []
         for k, lam in enumerate(lams):
-            phi_k = vectors.operator_tails(bbars[:k] + b_u, tails[k])[0]
+            phi_k = vectors.operator_tails(bbars[:k] + [b_u], tails[k])[0]
             lhs = lhs - scalars.F_factor(u, lam) * be[k] * phi_k
         scale = linalg.frobenius(t) * linalg.frobenius(phi)
         yield linalg.frobenius(lhs) / scale if scale else math.inf
@@ -497,10 +496,9 @@ def _n1_unwanted(ctx: CheckContext) -> Iterator[float]:
 def _n1_g(ctx: CheckContext) -> Iterator[float]:
     p = ctx.params
     omega = model.pseudo_vacuum(1)
-    for _ in range(ctx.n_samples):
-        u, lam = _draw_n1_pair(ctx)
-        cu = model.entry_matrices(u, p)[2]
-        blam = model.entry_matrices(lam, p)[1]
+    pairs = [_draw_n1_pair(ctx) for _ in range(ctx.n_samples)]
+    _, b, c, _ = model.entry_matrices(np.array(pairs), p)
+    for (u, lam), cu, blam in zip(pairs, c[:, 0], b[:, 1]):
         vec = cu @ (blam @ omega)
         res = vec - _g_function(u, lam, p) * omega
         yield linalg.rel_residual(res, linalg.frobenius(cu), linalg.frobenius(blam))
@@ -571,32 +569,35 @@ def _v_coeff(u, lams, j: int) -> complex:
     return num / den
 
 
-def _expansion_residuals(params: ModelParams, lams, coeffs: dict) -> Iterator[float]:
+def _expansion_residuals(params: ModelParams, samples) -> Iterator[float]:
     """Phi = sum_S W_S B(lam_S)|Omega> over root subsets S, one residual per order m = |S|.
 
-    ``coeffs`` maps each subset (0-based, ordered) to W_S.  An order-m string
-    lies in the m-down-spin sector, so each order is its own identity against
-    the sector-m part of Phi, and a small low-order term is judged on its own scale.
+    Each sample is its roots and ``coeffs``, mapping each subset (0-based, ordered)
+    to W_S.  An order-m string lies in the m-down-spin sector, so each order is
+    its own identity against the sector-m part of Phi, and a small low-order
+    term is judged on its own scale.
     """
-    phi = vectors.build_bethe_vector(lams, params)
-    bs = [model.entry_matrices(lam, params)[1] for lam in lams]
+    roots = np.array([lams for lams, _ in samples])
     omega = model.pseudo_vacuum(params.n_sites)
     downs = np.array([bin(i).count("1") for i in range(params.dim)])
-    for m in range(len(lams) + 1):
-        terms = [np.where(downs == m, phi, 0)] + [
-            -w * vectors.operator_tails([bs[i] for i in sub], omega)[0]
-            for sub, w in coeffs.items() if len(sub) == m
-        ]
-        yield linalg.rel_residual(sum(terms), _term_scale(*terms))
+    bbars = vectors.b_bar_matrix(roots, params)
+    for (_, coeffs), ops, bs in zip(samples, bbars, model.entry_matrices(roots, params)[1]):
+        phi = vectors.operator_tails(ops, omega)[0]
+        for m in range(len(bs) + 1):
+            terms = [np.where(downs == m, phi, 0)] + [
+                -w * vectors.operator_tails([bs[i] for i in sub], omega)[0]
+                for sub, w in coeffs.items() if len(sub) == m
+            ]
+            yield linalg.rel_residual(sum(terms), _term_scale(*terms))
 
 
 @_check("golden.w_n1", sites=(1,), tol=1e-10)
 def _golden_w1(ctx: CheckContext) -> Iterator[float]:
     """Bbar(lam)|Omega> = (W + B(lam))|Omega> with the length-1 W."""
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        lams = ctx.draw_root_cluster(1)
-        yield from _expansion_residuals(p, lams, {(): _w_coeff_n1(lams[0], p), (0,): 1.0})
+    clusters = [ctx.draw_root_cluster(1) for _ in range(ctx.n_samples)]
+    samples = [(lams, {(): _w_coeff_n1(lams[0], p), (0,): 1.0}) for lams in clusters]
+    return _expansion_residuals(p, samples)
 
 
 @_check("golden.z_n1", sites=(1,), tol=1e-10)
@@ -611,15 +612,16 @@ def _golden_z1(ctx: CheckContext) -> Iterator[float]:
 def _golden_w2(ctx: CheckContext) -> Iterator[float]:
     """Bbar(l1)Bbar(l2)|Omega> = (W + W^1 B(l1) + W^2 B(l2) + B(l1)B(l2))|Omega>."""
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        l1, l2 = ctx.draw_root_cluster(2)
+    samples = []
+    for l1, l2 in [ctx.draw_root_cluster(2) for _ in range(ctx.n_samples)]:
         coeffs = {
             (): _w_empty_n2(l1, l2, p),
             (0,): _w1_coeff_n2(l1, l2, p),
             (1,): _w1_coeff_n2(l2, l1, p),
             (0, 1): 1.0,
         }
-        yield from _expansion_residuals(p, (l1, l2), coeffs)
+        samples.append(((l1, l2), coeffs))
+    return _expansion_residuals(p, samples)
 
 
 def _golden_v(ctx: CheckContext) -> Iterator[float]:
@@ -627,16 +629,16 @@ def _golden_v(ctx: CheckContext) -> Iterator[float]:
 
     The order-N relation is B(u)B(lam_2)...B(lam_N)|Omega> = (Z(u, lam_2, ...) / Z(lam))
     B(lam_1)...B(lam_N)|Omega>, each Z read as the all-down entry of its string.
-    B(u) and each B(lam_j) are built once per sample.
+    B(u) and each B(lam_j) are built once, every sample in one call.
     """
     p = ctx.params
     omega = model.pseudo_vacuum(p.n_sites)
+    samples = []
     for _ in range(ctx.n_samples):
         lams = ctx.draw_root_cluster(p.n_sites)
         guards = [g for lam in lams for g in (lam, -lam - 1)] + [0.0, -0.5, -1.0]
-        u = ctx.draw_point(tuple(guards))
-        b_u = model.entry_matrices(u, p)[1]
-        bs = [model.entry_matrices(lam, p)[1] for lam in lams]
+        samples.append([ctx.draw_point(tuple(guards))] + lams)
+    for (u, *lams), (b_u, *bs) in zip(samples, model.entry_matrices(np.array(samples), p)[1]):
         terms = [b_u @ omega] + [-_v_coeff(u, lams, j) * (b @ omega) for j, b in enumerate(bs)]
         yield linalg.rel_residual(sum(terms), _term_scale(*terms))
         string, tail = vectors.operator_tails(bs, omega)[:2]
@@ -690,9 +692,10 @@ def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
 def _crossing(ctx: CheckContext) -> Iterator[float]:
     """t(-u-1) = t(u): the difference is (2u+1) g(w) with g of degree N, so N+1 nodes."""
     p = ctx.params
-    for u in bethe.circle_nodes(p, p.n_sites + 1):
-        t = model.transfer_matrix(u, p)
-        yield linalg.rel_residual(t - model.transfer_matrix(-u - 1, p), linalg.frobenius(t))
+    nodes = bethe.circle_nodes(p, p.n_sites + 1)
+    ts = model.transfer_matrix(np.concatenate([nodes, -nodes - 1]), p)
+    for t, t_crossed in zip(ts[:len(nodes)], ts[len(nodes):]):
+        yield linalg.rel_residual(t - t_crossed, linalg.frobenius(t))
 
 
 # --- engine ------------------------------------------------------------------------------

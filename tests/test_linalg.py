@@ -97,3 +97,22 @@ def test_commutator_norm_values(rng):
     expected = np.linalg.norm(comm) / (np.linalg.norm(SX) * np.linalg.norm(SY))
     assert abs(expected - math.sqrt(2)) < 1e-15
     assert abs(linalg.commutator_norm(SX, SY) - expected) < 1e-15
+
+
+def test_frobenius_is_bitwise_the_numpy_norm(rng):
+    # the same arithmetic as np.linalg.norm on real, complex, strided and transposed arrays
+    for i in range(200):
+        shape = tuple(rng.integers(1, 9, size=rng.integers(1, 4)))
+        a = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8)
+        if i % 2:
+            a = a + 1j * rng.standard_normal(shape)
+        if a.ndim > 1:
+            a = a.T if i % 3 == 0 else a[..., ::2]
+        assert linalg.frobenius(a) == float(np.linalg.norm(a))
+
+
+def test_frobenius_stays_finite_at_1e300_without_a_warning():
+    # pytest turns warnings into errors, so an overflow warning from dot would fail here
+    a = np.full((3, 3), 1e300 + 1e300j)
+    assert linalg.frobenius(a) == pytest.approx(math.sqrt(18) * 1e300, rel=1e-15)
+    assert math.isfinite(linalg.frobenius(a.real))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from openxxx import linalg, model, scalars
+from openxxx import linalg, model, scalars, vectors
 from openxxx.errors import ParameterError, PoleError
 from openxxx.model import ModelParams
 
@@ -303,3 +303,46 @@ def test_hamiltonian_rejects_zero_strengths():
     p = ModelParams.create([0.0], 0.0, 1.0)
     with pytest.raises(ParameterError):
         model.hamiltonian_matrix(p)
+
+
+BATCH_BUILDERS = {
+    "open_k_matrix": model.open_k_matrix,
+    "transfer_matrix": model.transfer_matrix,
+    "transfer_matrix_from_entries": model.transfer_matrix_from_entries,
+    "entry_matrices": lambda u, p: np.stack(model.entry_matrices(u, p), axis=-3),
+    "b_bar_matrix": vectors.b_bar_matrix,
+    "rotated_k_matrix": vectors.rotated_k_matrix,
+}
+
+
+@pytest.mark.parametrize("name", BATCH_BUILDERS)
+@pytest.mark.parametrize("n_sites", [1, 2, 3, 4, 5])
+def test_batched_builders_equal_their_points_built_one_at_a_time(
+    name, n_sites, rng, monkeypatch
+):
+    # 0-d, (k,) and (k, 2) batches, walked in the default chunks and in chunks
+    # of 3 points, so the 40 points cross chunk boundaries at every N
+    build = BATCH_BUILDERS[name]
+    theta = rng.uniform(-0.3, 0.3, n_sites) + 1j * rng.uniform(-0.3, 0.3, n_sites)
+    params = ModelParams.create(theta, P_VAL, Q_VAL, XI_PLUS, XI_MINUS)
+    u = rng.uniform(-1.5, 1.5, (20, 2)) + 1j * rng.uniform(-1.5, 1.5, (20, 2))
+    single = np.array([[build(complex(x), params) for x in row] for row in u])
+    for chunk in (model._CHUNK_ENTRIES, 3 * 4 ** (n_sites + 1)):
+        monkeypatch.setattr(model, "_CHUNK_ENTRIES", chunk)
+        assert build(u[0, 0], params).shape == single.shape[2:]
+        assert np.array_equal(build(u[0, 0], params), single[0, 0])
+        assert np.array_equal(build(u[:, 0], params), single[:, 0])
+        assert np.array_equal(build(u, params), single)
+
+
+def test_an_empty_batch_builds_no_matrices(params_n2):
+    assert model.transfer_matrix(np.empty(0), params_n2).shape == (0, 4, 4)
+    assert vectors.b_bar_matrix(np.empty((0, 3)), params_n2).shape == (0, 3, 4, 4)
+
+
+def test_batched_pole_guard_names_the_offending_point(params_n2):
+    u = np.array([0.3 + 0.1j, -0.5 + 1e-8j, 1.2])
+    with pytest.raises(PoleError, match=r"\(-0\.5\+1e-08j\)"):
+        model.entry_matrices(u, params_n2)
+    with pytest.raises(PoleError, match="-1/2"):
+        vectors.b_bar_matrix(u.reshape(3, 1), params_n2)

@@ -9,6 +9,7 @@ its pinned number of sets, each an eigenstate: one of the cover's pinned sets,
 or a Lambda in the spectrum of t(u) at ``PROBES``.
 """
 
+import itertools
 from collections import Counter
 
 import numpy as np
@@ -157,3 +158,56 @@ def test_cover_spectrum_triangular_n3_keeps_only_matched_sets():
     assert Counter(m.excitations for m in cover.matches) == {0: 1, 1: 3, 2: 3, 3: 1}
     assert len(cover.root_sets) == 8
     assert all(abs(r) > 1e-4 for rs in cover.root_sets for r in rs.roots)
+
+
+def _benchmark_draws(seed, sizes):
+    rng = np.random.default_rng(seed)
+    return [verify.random_params(rng, n) for n in sizes]
+
+
+def _benchmark_instances():
+    """The benchmark's nine instances at seed 0: three `spectrum` draws, six `solve` draws."""
+    triangular = _benchmark_draws(11, (1, 2, 3))[2].replace_couplings(xi_minus=0.0)
+    pinned = {
+        "n3-escalation": _benchmark_draws(11, (3, 3, 3))[2],
+        "n4-trackfail": _benchmark_draws(7, (1, 2, 3, 4))[3],
+        "n3-triangular": triangular,
+    }
+    sizes = (4, 4, 4, 5, 5, 5)
+    for i, (n, params) in enumerate(zip(sizes, _benchmark_draws(11, sizes))):
+        pinned[f"n{n}-{i % 3}"] = params
+    return pinned
+
+
+BENCHMARK_COVERS = {
+    "n3-escalation": {3: 8},
+    "n4-trackfail": {4: 16},
+    "n3-triangular": {0: 1, 1: 3, 2: 3, 3: 1},
+    "n4-0": {4: 16},
+    "n4-1": {4: 16},
+    "n4-2": {4: 16},
+    "n5-0": {5: 32},
+    "n5-1": {5: 32},
+    "n5-2": {5: 32},
+}
+
+
+def test_every_benchmark_instance_cover_is_pinned():
+    # every curve of every benchmark instance is matched and certified at the
+    # benchmark's eigen-residual bar; n5-0 keeps both its near 2-strings l, -l,
+    # one of them with |l| ~ 0.14 and |s - 1| below ROOT_SEPARATION, which a
+    # pair guard applied to all roots dropped
+    covers = {
+        name: bethe.cover_spectrum(params, bethe.SolverConfig(seed=7))
+        for name, params in _benchmark_instances().items()
+    }
+    for name, cover in covers.items():
+        assert cover.matched_count == len(cover.matches), name
+        assert Counter(m.excitations for m in cover.matches) == BENCHMARK_COVERS[name], name
+        assert cover.max_eigen_residual <= 1e-7, name
+    gaps = [
+        min(abs(a + b) for a, b in itertools.combinations(rs.roots, 2) if abs(a) > 0.1)
+        for rs in covers["n5-0"].root_sets
+    ]
+    assert sum(gap < 1e-7 for gap in gaps) == 2
+    assert min(gaps) < scalars.ROOT_SEPARATION

@@ -295,3 +295,16 @@ def test_root_set_invariants():
         scalars.BetheRootSet((complex("nan"),), 0.0)
     with pytest.raises(ParameterError):
         scalars.BetheRootSet((0.1,), float("inf"))
+
+
+def test_a_near_two_string_away_from_zero_is_admissible(params_n2):
+    # l, -l + 1e-9 zeroes s - 1 to 1e-9: the blind attractor near 0 is
+    # rejected, the same pair at |l| ~ 0.14 is left to the certificates
+    for lam, admissible in ((2e-5 + 1e-5j, False), (-0.1045 + 0.0941j, True)):
+        pair = (lam, -lam + 1e-9, 0.6 + 0.3j)
+        assert scalars.roots_admissible(pair, params_n2) is admissible
+        # the reflection of a root stands for the root itself
+        assert scalars.roots_admissible((-pair[0] - 1,) + pair[1:], params_n2) is admissible
+    # d = 0 and s = 0 stay rejected away from zero
+    assert not scalars.roots_admissible((0.4 + 0.2j, 0.4 + 0.2j + 1e-10), params_n2)
+    assert not scalars.roots_admissible((0.4 + 0.2j, -1.4 - 0.2j + 1e-10), params_n2)

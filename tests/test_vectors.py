@@ -247,13 +247,17 @@ def test_extract_v_full_order_is_z_ratio(params_n2):
 
 
 def test_golden_v_sample_builds_each_operator_once(monkeypatch, params_n3):
-    # one golden.v_n3 sample builds B(u) and each B(lam_j) once
+    # each golden.v_n3 sample builds B(u) and each B(lam_j) once, all samples in one call
     builds = []
     open_k = model.open_k_matrix
-    monkeypatch.setattr(model, "open_k_matrix", lambda u, p: builds.append(u) or open_k(u, p))
-    report = verify.run_suite(params_n3, checks=["golden.v_n3"], n_samples=1)
-    assert report.all_pass
-    assert len(builds) == 1 + 3
+    monkeypatch.setattr(
+        model, "open_k_matrix", lambda u, p: builds.append(np.size(u)) or open_k(u, p)
+    )
+    for n_samples in (1, 3):
+        builds.clear()
+        report = verify.run_suite(params_n3, checks=["golden.v_n3"], n_samples=n_samples)
+        assert report.all_pass
+        assert builds == [n_samples * (1 + 3)]
 
 
 # --- partition function -----------------------------------------------------------------------

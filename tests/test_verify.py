@@ -58,7 +58,8 @@ def test_crossing_check_fails_on_a_transfer_matrix_that_is_not_crossing_symmetri
 ):
     build = model.transfer_matrix
     monkeypatch.setattr(
-        model, "transfer_matrix", lambda u, p: build(u, p) + u * np.eye(p.dim)
+        model, "transfer_matrix",
+        lambda u, p: build(u, p) + np.asarray(u)[..., None, None] * np.eye(p.dim),
     )
     report = verify.run_suite(params_n2, checks=["foundations.crossing"], seed=0, n_samples=1)
     assert [c.verdict for c in report.checks] == ["fail"] * 4
@@ -346,9 +347,12 @@ def test_offshell_residuals_bitwise_equal_per_point_reference(monkeypatch, n_sit
     assert max(expected) < 1e-9
     built = []
     b_bar = vectors.b_bar_matrix
-    monkeypatch.setattr(vectors, "b_bar_matrix", lambda u, p: built.append(u) or b_bar(u, p))
+    monkeypatch.setattr(
+        vectors, "b_bar_matrix", lambda u, p: built.append(np.size(u)) or b_bar(u, p)
+    )
     assert list(verify.offshell_residuals(params, lams, OFFSHELL_POINTS)) == expected
-    assert len(built) == (m + len(OFFSHELL_POINTS) if m else 0)  # no Bbar(u) without roots
+    # each Bbar once: the roots in one call, the points in another; no Bbar(u) without roots
+    assert [n for n in built if n] == ([m, len(OFFSHELL_POINTS)] if m else [])
     for u, res in zip(OFFSHELL_POINTS, expected):
         assert verify.offshell_residual(params, lams, u) == res
 
@@ -366,19 +370,24 @@ def test_offshell_residual_of_a_vanishing_vector_is_inf(monkeypatch, params_n2):
 
 
 def test_offshell_builds_m_plus_two_monodromies_per_point(monkeypatch, params_n2):
-    # Each root's Bbar once per root set, then t(u) and Bbar(u) per point: M + 2 * n_samples.
-    builds = {}
+    # Each root's Bbar once per root set, then t(u) and Bbar(u) per point: M + 2 * n_samples
+    # monodromies, in three calls (the roots, t at the points, Bbar at the points).
+    points, calls = {}, {}
     open_k = model.open_k_matrix
 
     def counting(u, params):
-        builds[params.n_sites] = builds.get(params.n_sites, 0) + 1
+        points[params.n_sites] = points.get(params.n_sites, 0) + np.size(u)
+        calls[params.n_sites] = calls.get(params.n_sites, 0) + 1
         return open_k(u, params)
 
     monkeypatch.setattr(model, "open_k_matrix", counting)
     report = verify.run_suite(params_n2, checks=["offshell.general"], seed=1, n_samples=10)
     assert report.all_pass
-    assert builds == {1: 21, 2: 22, 3: 23}
-    builds.clear()
+    assert points == {1: 21, 2: 22, 3: 23}
+    assert calls == {1: 3, 2: 3, 3: 3}
+    points.clear()
+    calls.clear()
     report = verify.run_suite(params_n2, checks=["offshell.n4_probe"], seed=1, n_samples=10)
     assert [c.verdict for c in report.checks] == ["pass"]
-    assert builds == {4: 24}
+    assert points == {4: 24}
+    assert calls == {4: 3}
