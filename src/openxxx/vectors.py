@@ -100,10 +100,14 @@ def rotated_entry_matrices(
 
 
 def operator_tails(ops, vec) -> list[np.ndarray]:
-    """[ops[k] ... ops[-1] vec for k = 0..len(ops)], by matvecs from the right."""
+    """[ops[k] ... ops[-1] vec for k = 0..len(ops)], by matvecs from the right.
+
+    Each op may be a stack of matrices and ``vec`` a stack of vectors: every
+    sample then takes its own matvecs, in the same order.
+    """
     tails = [vec]
     for op in reversed(ops):
-        tails.append(op @ tails[-1])
+        tails.append((op @ tails[-1][..., None])[..., 0])
     return tails[::-1]
 
 

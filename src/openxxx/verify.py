@@ -1,21 +1,22 @@
 """Named verification checks for every identity the model is built on.
 
 Each check evaluates one identity (an operator equation, a scalar identity,
-or an end-to-end spectral property) and yields one relative residual per
-evaluation (several when one evaluation tests several identities).  A
-one-variable polynomial identity of degree d is evaluated at d + 1 nodes of
-the curve circle in w = u(u+1), which tests it for all u: d is the degree in
-w for t(u) alone (t(-u-1) = t(u)), in u for the A, B, C, D entries.  The
-on-shell checks read the spectrum cover, and the other identities are
-evaluated at randomly sampled spectral points, all drawn before one batched
-build.  The engine alone reduces
-them: the reported residual is the worst one, a non-finite sample makes it
-non-finite, and a check passes only when it yielded at least one residual
-and the worst is within tolerance.  Residuals are always normalized by the
-norms of the objects involved, so tolerances are parameter-scale-free.  The
-registry fixes stable check names, the chain lengths each check runs at,
-its tolerance, and whether it gates the suite (the length-4 off-shell probe
-is recorded as experimental evidence only).
+or an end-to-end spectral property).  A matrix-valued identity is evaluated
+on the whole stack of its samples at once and yields one array of relative
+residuals per stack (per identity when it tests several); the scalar ones
+yield one residual per evaluation.  A one-variable polynomial identity of
+degree d is evaluated at d + 1 nodes of the curve circle in w = u(u+1),
+which tests it for all u: d is the degree in w for t(u) alone (t(-u-1) =
+t(u)), in u for the A, B, C, D entries.  The on-shell checks read the
+spectrum cover, and the other identities are evaluated at randomly sampled
+spectral points, all drawn before one batched build.  The engine alone
+reduces the residuals, flattened: the reported residual is the worst one, a
+non-finite sample makes it non-finite, and a check passes only when it
+yielded at least one residual and the worst is within tolerance.  Residuals
+are always normalized by the norms of the objects involved, so tolerances
+are parameter-scale-free.  The registry fixes stable check names, the chain
+lengths each check runs at, its tolerance, and whether it gates the suite
+(the length-4 off-shell probe is recorded as experimental evidence only).
 
 Determinism: every check derives its random stream from (suite seed, the
 check's position in the registry, chain length), so verdicts are bitwise
@@ -24,7 +25,6 @@ reproducible, and a check run alone draws what it draws in the full suite.
 
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 import time
@@ -63,10 +63,7 @@ class CheckContext:
 
     def draw_point(self, centers=(), margin: float = SAMPLE_MARGIN) -> complex:
         for _ in range(1000):
-            z = complex(
-                self.rng.uniform(-SAMPLE_BOX, SAMPLE_BOX),
-                self.rng.uniform(-SAMPLE_BOX, SAMPLE_BOX),
-            )
+            z = complex(*self.rng.uniform(-SAMPLE_BOX, SAMPLE_BOX, 2))
             if all(abs(z - c) >= margin for c in centers):
                 return z
             self.resamples += 1
@@ -116,122 +113,123 @@ def check_names() -> list[str]:
 
 # --- foundations ---------------------------------------------------------------
 
+def _draw_pairs(ctx: CheckContext) -> list[tuple[complex, complex]]:
+    return [(ctx.draw_point(), ctx.draw_point()) for _ in range(ctx.n_samples)]
+
+
+def _r_rows(u) -> np.ndarray:
+    """``model.r_matrix`` at each point of ``u``, stacked."""
+    return np.asarray(u)[:, None, None] * np.eye(4, dtype=complex) + model.PERMUTATION
+
+
 @_check("foundations.yang_baxter", sites=(1,), tol=1e-12)
-def _yang_baxter(ctx: CheckContext) -> Iterator[float]:
-    eye = np.eye(2, dtype=complex)
-    p23 = np.kron(eye, model.PERMUTATION)
-    for _ in range(ctx.n_samples):
-        u, v = ctx.draw_point(), ctx.draw_point()
-        r12 = np.kron(model.r_matrix(u - v), eye)
-        r13 = p23 @ np.kron(model.r_matrix(u), eye) @ p23
-        r23 = np.kron(eye, model.r_matrix(v))
-        lhs = r12 @ r13 @ r23
-        rhs = r23 @ r13 @ r12
-        yield linalg.rel_residual(lhs - rhs, linalg.frobenius(lhs))
+def _yang_baxter(ctx: CheckContext) -> Iterator[np.ndarray]:
+    u, v = np.array(_draw_pairs(ctx)).T
+    r12 = linalg.with_identity(_r_rows(u - v), 4, 2)
+    r13 = linalg.with_identity(_r_rows(u), 2, 2)
+    r23 = linalg.with_identity(_r_rows(v), 1, 2)
+    lhs = r12 @ r13 @ r23
+    rhs = r23 @ r13 @ r12
+    yield linalg.rel_residual_rows(lhs - rhs, linalg.frobenius_rows(lhs))
 
 
 @_check("foundations.gl2_invariance", sites=(1,), tol=1e-12)
-def _gl2_invariance(ctx: CheckContext) -> Iterator[float]:
+def _gl2_invariance(ctx: CheckContext) -> Iterator[np.ndarray]:
+    qs, us = [], []
     for _ in range(ctx.n_samples):
         while True:
             q = ctx.rng.standard_normal((2, 2)) + 1j * ctx.rng.standard_normal((2, 2))
             if abs(np.linalg.det(q)) > 0.1:
                 break
-        u = ctx.draw_point()
-        yield linalg.commutator_norm(model.r_matrix(u), np.kron(q, q))
+        qs.append(q)
+        us.append(ctx.draw_point())
+    q = np.array(qs)
+    qq = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(-1, 4, 4)  # np.kron(q, q)
+    yield linalg.commutator_norm_rows(_r_rows(np.array(us)), qq)
 
 
-def _reflection_residual(k_fn, u, v) -> float:
-    eye = np.eye(2, dtype=complex)
-    k1 = np.kron(k_fn(u), eye)
-    k2 = np.kron(eye, k_fn(v))
-    rm, rp = model.r_matrix(u - v), model.r_matrix(u + v)
+def _reflection_residuals(k_u, k_v, u, v) -> np.ndarray:
+    """R(u-v) K1(u) R(u+v) K2(v) = K2(v) R(u+v) K1(u) R(u-v) for stacks of K on aux x chain.
+
+    R acts on aux 1 x aux 2, K1 on aux 1 x chain and K2 on aux 2 x chain.
+    """
+    k1, k2 = linalg.with_identity(k_u, 2, 2), linalg.with_identity(k_v, 1, 2)
+    rm, rp = (linalg.with_identity(_r_rows(w), 4, k_u.shape[-1] // 2) for w in (u - v, u + v))
     lhs = rm @ k1 @ rp @ k2
     rhs = k2 @ rp @ k1 @ rm
-    return linalg.rel_residual(lhs - rhs, linalg.frobenius(lhs))
+    return linalg.rel_residual_rows(lhs - rhs, linalg.frobenius_rows(lhs))
 
 
 @_check("foundations.reflection_scalar", sites=(1,), tol=1e-12)
-def _reflection_scalar(ctx: CheckContext) -> Iterator[float]:
+def _reflection_scalar(ctx: CheckContext) -> Iterator[np.ndarray]:
     """K- solves the reflection equation; K+(-u-1) is the dual-side scalar solution."""
     p = ctx.params
-    for _ in range(ctx.n_samples):
-        u, v = ctx.draw_point(), ctx.draw_point()
-        yield _reflection_residual(lambda w: model.k_minus_matrix(w, p), u, v)
-        yield _reflection_residual(lambda w: model.k_plus_matrix(-w - 1, p), u, v)
+    pairs = _draw_pairs(ctx)
+    for k_fn in (lambda w: model.k_minus_matrix(w, p), lambda w: model.k_plus_matrix(-w - 1, p)):
+        k_u, k_v = (np.array([k_fn(w) for w in ws]) for ws in zip(*pairs))
+        yield _reflection_residuals(k_u, k_v, *np.array(pairs).T)
 
 
 @_check("foundations.reflection_dressed", sites=(1, 2, 3), tol=1e-10)
-def _reflection_dressed(ctx: CheckContext) -> Iterator[float]:
-    """Dressed reflection equation on aux 1 x aux 2 x chain, with K on aux 1 as P01 (I x K) P01."""
-    p = ctx.params
-    eye2, chain = np.eye(2, dtype=complex), np.eye(p.dim, dtype=complex)
-    p01 = np.kron(model.PERMUTATION, chain)
-    pairs = [(ctx.draw_point(), ctx.draw_point()) for _ in range(ctx.n_samples)]
-    for (u, v), (k_u, k_v) in zip(pairs, model.open_k_matrix(np.array(pairs), p)):
-        k1 = p01 @ np.kron(eye2, k_u) @ p01
-        k2 = np.kron(eye2, k_v)
-        rm = np.kron(model.r_matrix(u - v), chain)
-        rp = np.kron(model.r_matrix(u + v), chain)
-        lhs = rm @ k1 @ rp @ k2
-        rhs = k2 @ rp @ k1 @ rm
-        yield linalg.rel_residual(lhs - rhs, linalg.frobenius(lhs))
+def _reflection_dressed(ctx: CheckContext) -> Iterator[np.ndarray]:
+    """Dressed reflection equation on aux 1 x aux 2 x chain, with K on aux 1 x chain."""
+    pairs = np.array(_draw_pairs(ctx))
+    k_u, k_v = model.open_k_matrix(pairs, ctx.params).swapaxes(0, 1)
+    yield _reflection_residuals(k_u, k_v, *pairs.T)
 
 
 @_check("foundations.transfer_commute", sites=(1, 2, 3, 4), tol=1e-10)
-def _transfer_commute(ctx: CheckContext) -> Iterator[float]:
+def _transfer_commute(ctx: CheckContext) -> Iterator[np.ndarray]:
     """[t(u), t(v)]: degree N+1 in w(u) and w(v), zero at u = v: pairs i < j of N+2 nodes."""
     p = ctx.params
     ts = model.transfer_matrix(bethe.circle_nodes(p, p.n_sites + 2), p)
-    for t_u, t_v in itertools.combinations(ts, 2):
-        yield linalg.commutator_norm(t_u, t_v)
+    i, j = np.triu_indices(len(ts), 1)
+    yield linalg.commutator_norm_rows(ts[i], ts[j])
 
 
 @_check("foundations.trace_vs_entries", sites=(1, 2, 3), tol=1e-12)
-def _trace_vs_entries(ctx: CheckContext) -> Iterator[float]:
+def _trace_vs_entries(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Trace form against the entry recombination: degree 2N+3 with (2u+1) cleared."""
     nodes = bethe.circle_nodes(ctx.params, 2 * ctx.n_sites + 4)
     traces = model.transfer_matrix(nodes, ctx.params)
-    for t_trace, t_entries in zip(traces, model.transfer_matrix_from_entries(nodes, ctx.params)):
-        yield linalg.rel_residual(t_trace - t_entries, linalg.frobenius(t_trace))
+    diff = traces - model.transfer_matrix_from_entries(nodes, ctx.params)
+    yield linalg.rel_residual_rows(diff, linalg.frobenius_rows(traces))
 
 
 @_check("foundations.vacuum_actions", sites=(1, 2, 3), tol=1e-12)
-def _vacuum_actions(ctx: CheckContext) -> Iterator[float]:
+def _vacuum_actions(ctx: CheckContext) -> Iterator[np.ndarray]:
     """A, D and C on the vacuum: degree 2N+2 with (2u+1) cleared."""
     p = ctx.params
     omega = model.pseudo_vacuum(p.n_sites)
     nodes = bethe.circle_nodes(p, 2 * p.n_sites + 3)
-    a_all, _, c_all, d_all = model.entry_matrices(nodes, p)
-    for u, a, c, d in zip(nodes, a_all, c_all, d_all):
-        yield from (
-            linalg.rel_residual(a @ omega - scalars.lambda1(u, p) * omega, linalg.frobenius(a)),
-            linalg.rel_residual(d @ omega - scalars.lambda2(u, p) * omega, linalg.frobenius(d)),
-            linalg.rel_residual(c @ omega, linalg.frobenius(c)),
-        )
+    a, _, c, d = model.entry_matrices(nodes, p)
+    for op, vac in ((a, scalars.lambda1), (d, scalars.lambda2)):
+        vac_omega = np.array([[vac(u, p)] for u in nodes]) * omega
+        yield linalg.rel_residual_rows(op @ omega - vac_omega, linalg.frobenius_rows(op))
+    yield linalg.rel_residual_rows(c @ omega, linalg.frobenius_rows(c))
 
 
 @_check("foundations.b_nilpotency", sites=(1, 2, 3), tol=1e-13)
-def _b_nilpotency(ctx: CheckContext) -> Iterator[float]:
+def _b_nilpotency(ctx: CheckContext) -> Iterator[np.ndarray]:
     """An (N+1)-fold lowering string annihilates the vacuum exactly."""
     p = ctx.params
     n = p.n_sites + 1
     points = [[ctx.draw_point(centers=(-0.5,)) for _ in range(n)] for _ in range(ctx.n_samples)]
-    for bs in model.entry_matrices(np.array(points), p)[1]:
-        vec = vectors.operator_tails(bs[::-1], model.pseudo_vacuum(p.n_sites))[0]
-        yield linalg.frobenius(vec) / math.prod(max(linalg.frobenius(b), 1.0) for b in bs)
+    bs = model.entry_matrices(np.array(points), p)[1]
+    vec = vectors.operator_tails(bs.swapaxes(0, 1)[::-1], model.pseudo_vacuum(p.n_sites))[0]
+    norms = linalg.frobenius_rows(bs.reshape((-1,) + bs.shape[2:])).reshape(len(bs), n)
+    yield linalg.rel_residual_rows(vec, *np.maximum(norms, 1.0).T)
 
 
 @_check("foundations.hamiltonian_commutes", sites=(1, 2, 3, 4), tol=1e-10)
-def _hamiltonian_commutes(ctx: CheckContext) -> Iterator[float]:
+def _hamiltonian_commutes(ctx: CheckContext) -> Iterator[np.ndarray]:
     """[H, t(u)] = 0 for the homogeneous chain with eta+- = 0: degree N+1 in w."""
     p = ctx.params
     hom = ModelParams.create(
         (0.0,) * p.n_sites, p.p, p.q, p.xi_plus, p.xi_minus, branch=p.branch
     )
-    h = model.hamiltonian_matrix(hom)
-    for t in model.transfer_matrix(bethe.circle_nodes(hom, p.n_sites + 2), hom):
-        yield linalg.commutator_norm(h, t)
+    ts = model.transfer_matrix(bethe.circle_nodes(hom, p.n_sites + 2), hom)
+    yield linalg.commutator_norm_rows(np.broadcast_to(model.hamiltonian_matrix(hom), ts.shape), ts)
 
 
 # --- exchange relations -----------------------------------------------------------
@@ -245,63 +243,51 @@ def _exchange_pairs(ctx: CheckContext) -> list[tuple[complex, complex]]:
     return pairs
 
 
-def _term_scale(*mats) -> float:
-    return max(max(linalg.frobenius(m) for m in mats), 1.0)
+def _exchange_rows(ctx: CheckContext, *names) -> tuple[list, np.ndarray]:
+    """A, B, C, D at the ``_exchange_pairs`` and the named structure functions there.
+
+    Each entry comes as its stacks at u and at v.  The structure functions are
+    evaluated pair by pair (on arrays they round differently), one row each.
+    """
+    pairs = _exchange_pairs(ctx)
+    entries = [m.swapaxes(0, 1) for m in model.entry_matrices(np.array(pairs), ctx.params)]
+    values = [[scalars.structure_fn(name, u, v) for name in names] for u, v in pairs]
+    return entries, np.array(values, dtype=complex).T[..., None, None]
+
+
+def _relation_residuals(*terms) -> np.ndarray:
+    """Each row of sum(terms) relative to its largest addend, floored at 1."""
+    norms = linalg.frobenius_rows(np.concatenate(terms)).reshape(len(terms), -1)
+    return linalg.rel_residual_rows(sum(terms), np.maximum(norms.max(axis=0), 1.0))
 
 
 @_check("exchange.bb_commute", sites=(1, 2, 3), tol=1e-11)
-def _exchange_bb(ctx: CheckContext) -> Iterator[float]:
-    for bu, bv in model.entry_matrices(np.array(_exchange_pairs(ctx)), ctx.params)[1]:
-        yield linalg.commutator_norm(bu, bv)
+def _exchange_bb(ctx: CheckContext) -> Iterator[np.ndarray]:
+    (_, (bu, bv), _, _), _ = _exchange_rows(ctx)
+    yield linalg.commutator_norm_rows(bu, bv)
 
 
 @_check("exchange.ab_relation", sites=(1, 2, 3), tol=1e-10)
-def _exchange_ab(ctx: CheckContext) -> Iterator[float]:
-    p = ctx.params
-    pairs = _exchange_pairs(ctx)
-    a, b, _, d = model.entry_matrices(np.array(pairs), p)
-    for (u, v), (au, av), (bu, bv), (_, dv) in zip(pairs, a, b, d):
-        terms = (
-            au @ bv,
-            -scalars.structure_fn("f", u, v) * (bv @ au),
-            -scalars.structure_fn("g", u, v) * (bu @ av),
-            -scalars.structure_fn("w", u, v) * (bu @ dv),
-        )
-        yield linalg.rel_residual(sum(terms), _term_scale(*terms))
+def _exchange_ab(ctx: CheckContext) -> Iterator[np.ndarray]:
+    ((au, av), (bu, bv), _, (_, dv)), (f, g, w) = _exchange_rows(ctx, "f", "g", "w")
+    yield _relation_residuals(au @ bv, -f * (bv @ au), -g * (bu @ av), -w * (bu @ dv))
 
 
 @_check("exchange.db_relation", sites=(1, 2, 3), tol=1e-10)
-def _exchange_db(ctx: CheckContext) -> Iterator[float]:
-    p = ctx.params
-    pairs = _exchange_pairs(ctx)
-    a, b, _, d = model.entry_matrices(np.array(pairs), p)
-    for (u, v), (_, av), (bu, bv), (du, dv) in zip(pairs, a, b, d):
-        terms = (
-            du @ bv,
-            -scalars.structure_fn("h", u, v) * (bv @ du),
-            -scalars.structure_fn("k", u, v) * (bu @ dv),
-            -scalars.structure_fn("n", u, v) * (bu @ av),
-        )
-        yield linalg.rel_residual(sum(terms), _term_scale(*terms))
+def _exchange_db(ctx: CheckContext) -> Iterator[np.ndarray]:
+    ((_, av), (bu, bv), _, (du, dv)), (h, k, n) = _exchange_rows(ctx, "h", "k", "n")
+    yield _relation_residuals(du @ bv, -h * (bv @ du), -k * (bu @ dv), -n * (bu @ av))
 
 
 @_check("exchange.cb_relation", sites=(1, 2, 3), tol=1e-10)
-def _exchange_cb(ctx: CheckContext) -> Iterator[float]:
-    p = ctx.params
-    pairs = _exchange_pairs(ctx)
-    a, b, c, d = model.entry_matrices(np.array(pairs), p)
-    for (u, v), (au, av), (_, bv), (cu, _), (du, dv) in zip(pairs, a, b, c, d):
-        s = scalars.structure_fn
-        terms = (
-            cu @ bv - bv @ cu,
-            -s("m", u, v) * (av @ au),
-            -s("l", u, v) * (au @ av),
-            -s("q_f", u, v) * (av @ du),
-            -s("p_f", u, v) * (au @ dv),
-            -s("y", u, v) * (du @ av),
-            -s("z", u, v) * (du @ dv),
-        )
-        yield linalg.rel_residual(sum(terms), _term_scale(*terms))
+def _exchange_cb(ctx: CheckContext) -> Iterator[np.ndarray]:
+    ((au, av), (_, bv), (cu, _), (du, dv)), s = _exchange_rows(
+        ctx, "m", "l", "q_f", "p_f", "y", "z"
+    )
+    yield _relation_residuals(
+        cu @ bv - bv @ cu, -s[0] * (av @ au), -s[1] * (au @ av), -s[2] * (av @ du),
+        -s[3] * (au @ dv), -s[4] * (du @ av), -s[5] * (du @ dv),
+    )
 
 
 # --- rotated frame ------------------------------------------------------------------
@@ -314,18 +300,18 @@ def _require_frame(ctx: CheckContext) -> vectors.RotatedFrame:
 
 
 @_check("rotated.k_plus_diagonalization", sites=(1,), tol=1e-12)
-def _rotated_kplus(ctx: CheckContext) -> Iterator[float]:
+def _rotated_kplus(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Q^-1 K+(u) Q = D+(u): degree 1."""
     frame = _require_frame(ctx)
     p = ctx.params
-    for u in bethe.circle_nodes(p, 2):
-        kp = model.k_plus_matrix(u, p)
-        lhs = frame.q_inverse @ kp @ frame.q_matrix
-        yield linalg.rel_residual(lhs - frame.d_plus(u, p), linalg.frobenius(kp))
+    nodes = bethe.circle_nodes(p, 2)
+    kp = np.array([model.k_plus_matrix(u, p) for u in nodes])
+    diff = frame.q_inverse @ kp @ frame.q_matrix - np.array([frame.d_plus(u, p) for u in nodes])
+    yield linalg.rel_residual_rows(diff, linalg.frobenius_rows(kp))
 
 
 @_check("rotated.frame_vacuum_actions", sites=(1, 2, 3), tol=1e-10)
-def _rotated_vacuum(ctx: CheckContext) -> Iterator[float]:
+def _rotated_vacuum(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Abar and Dbar on the vacuum: degree 2N+2 with (2u+1) cleared."""
     frame = _require_frame(ctx)
     p = ctx.params
@@ -333,76 +319,78 @@ def _rotated_vacuum(ctx: CheckContext) -> Iterator[float]:
     c = p.c_ratio
     nodes = bethe.circle_nodes(p, 2 * p.n_sites + 3)
     abars, bbars, _, dbars = vectors.rotated_entry_matrices(nodes, p)
-    for u, abar, bbar, dbar in zip(nodes, abars, bbars, dbars):
-        bvac = bbar @ omega
-        res_a = abar @ omega - frame.scale * scalars.lambda1(u, p) * omega + c * bvac
-        res_d = (
-            dbar @ omega
-            - frame.scale * scalars.lambda2(u, p) * omega
-            - (2 * (u + 1) / (2 * u + 1)) * c * bvac
-        )
-        yield linalg.rel_residual(res_a, linalg.frobenius(abar))
-        yield linalg.rel_residual(res_d, linalg.frobenius(dbar))
+    bvac = bbars @ omega
+    coeffs = np.array([
+        (frame.scale * scalars.lambda1(u, p), frame.scale * scalars.lambda2(u, p),
+         (2 * (u + 1) / (2 * u + 1)) * c)
+        for u in nodes
+    ]).T[..., None]
+    res_a = abars @ omega - coeffs[0] * omega + c * bvac
+    res_d = dbars @ omega - coeffs[1] * omega - coeffs[2] * bvac
+    yield linalg.rel_residual_rows(res_a, linalg.frobenius_rows(abars))
+    yield linalg.rel_residual_rows(res_d, linalg.frobenius_rows(dbars))
 
 
 @_check("rotated.transfer_from_frame", sites=(1, 2, 3), tol=1e-11)
-def _rotated_transfer(ctx: CheckContext) -> Iterator[float]:
+def _rotated_transfer(ctx: CheckContext) -> Iterator[np.ndarray]:
     """t(u) from the rotated entries: degree 2N+3 with (2u+1) cleared."""
     frame = _require_frame(ctx)
     p = ctx.params
     nodes = bethe.circle_nodes(p, 2 * p.n_sites + 4)
     abars, _, _, dbars = vectors.rotated_entry_matrices(nodes, p)
-    for u, abar, dbar, t in zip(nodes, abars, dbars, model.transfer_matrix(nodes, p)):
-        t_frame = (
-            scalars.alpha_bar(u, p) * abar + scalars.delta_bar(u, p) * dbar
-        ) / frame.scale
-        yield linalg.rel_residual(t - t_frame, linalg.frobenius(t))
+    alpha, delta = np.array(
+        [(scalars.alpha_bar(u, p), scalars.delta_bar(u, p)) for u in nodes]
+    ).T[..., None, None]
+    t = model.transfer_matrix(nodes, p)
+    t_frame = (alpha * abars + delta * dbars) / frame.scale
+    yield linalg.rel_residual_rows(t - t_frame, linalg.frobenius_rows(t))
 
 
 @_check("rotated.bbar_commute", sites=(1, 2, 3), tol=1e-10)
-def _rotated_bbar_commute(ctx: CheckContext) -> Iterator[float]:
-    for bu, bv in vectors.b_bar_matrix(np.array(_exchange_pairs(ctx)), ctx.params):
-        yield linalg.commutator_norm(bu, bv)
+def _rotated_bbar_commute(ctx: CheckContext) -> Iterator[np.ndarray]:
+    pairs = np.array(_exchange_pairs(ctx))
+    yield linalg.commutator_norm_rows(*vectors.b_bar_matrix(pairs, ctx.params).swapaxes(0, 1))
 
 
 # --- off-shell equation ----------------------------------------------------------------
 
-def offshell_residuals(params: ModelParams, roots, points) -> Iterator[float]:
+def offshell_residuals(params: ModelParams, roots, points) -> np.ndarray:
     """Relative residual of the off-shell equation at each of ``points``.
 
     Bbar(lam_j), BE_k and the tails Bbar(lam_k+1)...Bbar(lam_M)|Omega> (Phi first) are built
     once, t(u) and Bbar(u) (none without roots) in one call each for all points; Phi_k is
-    Bbar(lam_1)...Bbar(lam_k-1) Bbar(u) on tail k+1, as build_bethe_vector does.
-    A vanishing Phi certifies nothing: a zero scale gives inf.
+    Bbar(lam_1)...Bbar(lam_k-1) Bbar(u) on tail k+1, as build_bethe_vector does, by matvecs
+    per point.  Lambda(u) and F(u, lam_k) are taken point by point: evaluated on an array
+    they round differently.  A vanishing Phi certifies nothing: a zero scale gives inf.
     """
     lams = [complex(r) for r in roots]
     points = [complex(u) for u in points]
     bbars, (phi, *tails) = vectors.bethe_vector_tails(lams, params)
     be = [scalars.bethe_residual(k, lams, params) for k in range(len(lams))]
     ts = model.transfer_matrix(np.array(points), params)
-    b_us = vectors.b_bar_matrix(np.array(points), params) if lams else [None] * len(points)
-    for u, t, b_u in zip(points, ts, b_us):
-        lhs = t @ phi - scalars.eigenvalue_Lambda(u, lams, params) * phi
-        for k, lam in enumerate(lams):
-            phi_k = vectors.operator_tails(bbars[:k] + [b_u], tails[k])[0]
-            lhs = lhs - scalars.F_factor(u, lam) * be[k] * phi_k
-        scale = linalg.frobenius(t) * linalg.frobenius(phi)
-        yield linalg.frobenius(lhs) / scale if scale else math.inf
+    lhs = ts @ phi - np.array([[scalars.eigenvalue_Lambda(u, lams, params)] for u in points]) * phi
+    b_us = vectors.b_bar_matrix(np.array(points), params) if lams else None
+    for k, lam in enumerate(lams):
+        phi_k = vectors.operator_tails(bbars[:k] + [b_us], tails[k])[0]
+        lhs = lhs - np.array([[scalars.F_factor(u, lam) * be[k]] for u in points]) * phi_k
+    with np.errstate(all="ignore"):
+        scale = linalg.frobenius_rows(ts) * linalg.frobenius(phi)
+        return np.where(scale != 0, linalg.frobenius_rows(lhs) / scale, math.inf)
 
 
 def offshell_residual(params: ModelParams, roots, u) -> float:
     """Relative residual of the off-shell equation at one spectral point."""
-    return next(offshell_residuals(params, roots, (u,)))
+    return float(offshell_residuals(params, roots, (u,))[0])
 
 
-def _offshell_samples(ctx: CheckContext, params: ModelParams, roots) -> Iterator[float]:
+def _offshell_samples(ctx: CheckContext, params: ModelParams, roots) -> np.ndarray:
     """Off-shell residuals at ``roots`` for ``ctx.n_samples`` points drawn clear of their poles."""
     guards = tuple(g for lam in roots for g in (lam, -lam - 1))
     guards += scalars.root_guard_centers(params)
     return offshell_residuals(params, roots, [ctx.draw_point(guards) for _ in range(ctx.n_samples)])
 
 
-def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[float]:
+def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[np.ndarray]:
     """Off-shell residuals of ``params`` for one root cluster per size in ``counts``.
 
     ``params`` may differ from ``ctx.params`` only in the xi couplings, so
@@ -410,29 +398,29 @@ def _offshell_check(ctx: CheckContext, params: ModelParams, counts) -> Iterator[
     alone) gives the same draws as drawing them from ``params``.
     """
     for m in counts:
-        yield from _offshell_samples(ctx, params, ctx.draw_root_cluster(m))
+        yield _offshell_samples(ctx, params, ctx.draw_root_cluster(m))
 
 
 @_check("offshell.general", sites=(1, 2, 3), tol=1e-9)
-def _offshell_general(ctx: CheckContext) -> Iterator[float]:
+def _offshell_general(ctx: CheckContext) -> Iterator[np.ndarray]:
     return _offshell_check(ctx, ctx.params, counts=(ctx.params.n_sites,))
 
 
 @_check("offshell.n4_probe", sites=(4,), tol=1e-6, gating=False)
-def _offshell_probe(ctx: CheckContext) -> Iterator[float]:
+def _offshell_probe(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Length-4 evidence for the unproven case; recorded, never gating."""
     return _offshell_check(ctx, ctx.params, counts=(4,))
 
 
 @_check("offshell.diagonal", sites=(1, 2, 3), tol=1e-9)
-def _offshell_diagonal(ctx: CheckContext) -> Iterator[float]:
+def _offshell_diagonal(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Classic diagonal-boundary off-shell relation for every excitation number."""
     diag = ctx.params.replace_couplings(xi_plus=0.0, xi_minus=0.0)
     return _offshell_check(ctx, diag, counts=range(diag.n_sites + 1))
 
 
 @_check("offshell.triangular", sites=(1, 2, 3), tol=1e-9)
-def _offshell_triangular(ctx: CheckContext) -> Iterator[float]:
+def _offshell_triangular(ctx: CheckContext) -> Iterator[np.ndarray]:
     """xi- = 0 limit: the dressed construction with c = -xi+/2 stays off-shell exact."""
     tri = ModelParams.create(
         ctx.params.theta, ctx.params.p, ctx.params.q, ctx.params.xi_plus, 0.0,
@@ -569,30 +557,32 @@ def _v_coeff(u, lams, j: int) -> complex:
     return num / den
 
 
-def _expansion_residuals(params: ModelParams, samples) -> Iterator[float]:
+def _expansion_residuals(params: ModelParams, samples) -> Iterator[np.ndarray]:
     """Phi = sum_S W_S B(lam_S)|Omega> over root subsets S, one residual per order m = |S|.
 
     Each sample is its roots and ``coeffs``, mapping each subset (0-based, ordered)
-    to W_S.  An order-m string lies in the m-down-spin sector, so each order is
-    its own identity against the sector-m part of Phi, and a small low-order
-    term is judged on its own scale.
+    to W_S; every sample has the same subsets.  An order-m string lies in the
+    m-down-spin sector, so each order is its own identity against the sector-m
+    part of Phi, and a small low-order term is judged on its own scale.
     """
     roots = np.array([lams for lams, _ in samples])
+    coeffs = {sub: np.array([c[sub] for _, c in samples], dtype=complex)[:, None]
+              for sub in samples[0][1]}
     omega = model.pseudo_vacuum(params.n_sites)
     downs = np.array([bin(i).count("1") for i in range(params.dim)])
-    bbars = vectors.b_bar_matrix(roots, params)
-    for (_, coeffs), ops, bs in zip(samples, bbars, model.entry_matrices(roots, params)[1]):
-        phi = vectors.operator_tails(ops, omega)[0]
-        for m in range(len(bs) + 1):
-            terms = [np.where(downs == m, phi, 0)] + [
-                -w * vectors.operator_tails([bs[i] for i in sub], omega)[0]
-                for sub, w in coeffs.items() if len(sub) == m
-            ]
-            yield linalg.rel_residual(sum(terms), _term_scale(*terms))
+    bbars = vectors.b_bar_matrix(roots, params).swapaxes(0, 1)
+    phi = vectors.operator_tails(bbars, omega)[0]
+    bs = model.entry_matrices(roots, params)[1]
+    for m in range(roots.shape[1] + 1):
+        terms = [np.where(downs == m, phi, 0)] + [
+            -w * vectors.operator_tails([bs[:, i] for i in sub], omega)[0]
+            for sub, w in coeffs.items() if len(sub) == m
+        ]
+        yield _relation_residuals(*terms)
 
 
 @_check("golden.w_n1", sites=(1,), tol=1e-10)
-def _golden_w1(ctx: CheckContext) -> Iterator[float]:
+def _golden_w1(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Bbar(lam)|Omega> = (W + B(lam))|Omega> with the length-1 W."""
     p = ctx.params
     clusters = [ctx.draw_root_cluster(1) for _ in range(ctx.n_samples)]
@@ -609,7 +599,7 @@ def _golden_z1(ctx: CheckContext) -> Iterator[float]:
 
 
 @_check("golden.w_n2", sites=(2,), tol=1e-10)
-def _golden_w2(ctx: CheckContext) -> Iterator[float]:
+def _golden_w2(ctx: CheckContext) -> Iterator[np.ndarray]:
     """Bbar(l1)Bbar(l2)|Omega> = (W + W^1 B(l1) + W^2 B(l2) + B(l1)B(l2))|Omega>."""
     p = ctx.params
     samples = []
@@ -624,7 +614,7 @@ def _golden_w2(ctx: CheckContext) -> Iterator[float]:
     return _expansion_residuals(p, samples)
 
 
-def _golden_v(ctx: CheckContext) -> Iterator[float]:
+def _golden_v(ctx: CheckContext) -> Iterator[np.ndarray]:
     """B(u)|Omega> = sum_j V^j B(lam_j)|Omega>, and the order-N relation per sample.
 
     The order-N relation is B(u)B(lam_2)...B(lam_N)|Omega> = (Z(u, lam_2, ...) / Z(lam))
@@ -638,13 +628,12 @@ def _golden_v(ctx: CheckContext) -> Iterator[float]:
         lams = ctx.draw_root_cluster(p.n_sites)
         guards = [g for lam in lams for g in (lam, -lam - 1)] + [0.0, -0.5, -1.0]
         samples.append([ctx.draw_point(tuple(guards))] + lams)
-    for (u, *lams), (b_u, *bs) in zip(samples, model.entry_matrices(np.array(samples), p)[1]):
-        terms = [b_u @ omega] + [-_v_coeff(u, lams, j) * (b @ omega) for j, b in enumerate(bs)]
-        yield linalg.rel_residual(sum(terms), _term_scale(*terms))
-        string, tail = vectors.operator_tails(bs, omega)[:2]
-        swapped = b_u @ tail
-        terms = (swapped, -(swapped[-1] / string[-1]) * string)
-        yield linalg.rel_residual(sum(terms), _term_scale(*terms))
+    b_u, *bs = model.entry_matrices(np.array(samples), p)[1].swapaxes(0, 1)
+    v = np.array([[_v_coeff(u, lams, j) for j in range(len(lams))] for u, *lams in samples])
+    yield _relation_residuals(b_u @ omega, *(-v[:, [j]] * (b @ omega) for j, b in enumerate(bs)))
+    string, tail = vectors.operator_tails(bs, omega)[:2]
+    swapped = vectors.operator_tails([b_u], tail)[0]
+    yield _relation_residuals(swapped, -(swapped[:, -1:] / string[:, -1:]) * string)
 
 
 _check("golden.v_n2", sites=(2,), tol=1e-10)(_golden_v)
@@ -689,13 +678,13 @@ def _onshell_poly(ctx: CheckContext) -> Iterator[float]:
 
 # Registered last: a check's random stream is seeded by its registry position.
 @_check("foundations.crossing", sites=(1, 2, 3, 4), tol=1e-12)
-def _crossing(ctx: CheckContext) -> Iterator[float]:
+def _crossing(ctx: CheckContext) -> Iterator[np.ndarray]:
     """t(-u-1) = t(u): the difference is (2u+1) g(w) with g of degree N, so N+1 nodes."""
     p = ctx.params
     nodes = bethe.circle_nodes(p, p.n_sites + 1)
     ts = model.transfer_matrix(np.concatenate([nodes, -nodes - 1]), p)
-    for t, t_crossed in zip(ts[:len(nodes)], ts[len(nodes):]):
-        yield linalg.rel_residual(t - t_crossed, linalg.frobenius(t))
+    t, t_crossed = ts[:len(nodes)], ts[len(nodes):]
+    yield linalg.rel_residual_rows(t - t_crossed, linalg.frobenius_rows(t))
 
 
 # --- engine ------------------------------------------------------------------------------
@@ -755,6 +744,7 @@ def run_suite(
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     solver_cfg = solver_cfg or SolverConfig(seed=seed)
+    with_sites = lru_cache(maxsize=None)(params.with_sites)  # one model per chain length
     position = {name: i for i, name in enumerate(_REGISTRY)}
     outcomes = []
     for cdef in select_checks(checks):
@@ -764,7 +754,7 @@ def run_suite(
                 continue
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, n]))
             ctx = CheckContext(
-                params.with_sites(n), n, rng, n_samples, cdef.tol_at(n), solver_cfg
+                with_sites(n), n, rng, n_samples, cdef.tol_at(n), solver_cfg
             )
             outcomes.append(_run_check(cdef.name, cdef.fn, ctx, cdef.gating))
     outcomes.sort(key=lambda c: (c.name, c.n_sites))
@@ -774,19 +764,20 @@ def run_suite(
 def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
     """Run one check on its context: time it, judge its worst residual against ``ctx.tol``.
 
-    This is the only place residuals are reduced.  ``np.max`` propagates NaN,
+    This is the only place residuals are reduced: the arrays (or numbers) the
+    check yields are flattened into one.  ``np.max`` propagates NaN,
     so a non-finite sample fails the check, and a check that evaluated no
     samples fails instead of passing vacuously.  A package error raised inside
     the check fails it alone, with the error as its reason and no residual.
     ``n_samples`` counts the residuals the check yielded: 0 when it raised.
     """
     start = time.perf_counter()
-    values: list[float] = []
+    values = np.empty(0)
     residual: float | None = None
     reason: str | None = None
     try:
-        values = [float(r) for r in fn(ctx)]
-        if values:
+        values = np.concatenate([values, *(np.ravel(r) for r in fn(ctx))])
+        if values.size:
             residual = float(np.max(values))
             verdict = "pass" if residual <= ctx.tol else "fail"
         else:
@@ -801,7 +792,7 @@ def _run_check(name: str, fn, ctx: CheckContext, gating: bool) -> CheckOutcome:
     return CheckOutcome(
         name=name,
         n_sites=ctx.n_sites,
-        n_samples=len(values),
+        n_samples=values.size,
         residual=residual,
         tol=ctx.tol,
         verdict=verdict,
@@ -828,7 +819,7 @@ def check_offshell(params, roots, seed=0, n_samples=10) -> VerificationReport:
         n_samples, cdef.tol_at(len(lams)), SolverConfig(seed=seed),
     )
     outcome = _run_check(
-        cdef.name, lambda c: _offshell_samples(c, site_params, lams), ctx, cdef.gating
+        cdef.name, lambda c: [_offshell_samples(c, site_params, lams)], ctx, cdef.gating
     )
     return VerificationReport((outcome,), site_params, seed)
 

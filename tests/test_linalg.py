@@ -10,6 +10,7 @@ SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
+SWAP = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
 
 
 # Every tensor embedding in the package is np.kron with the left factor most
@@ -55,6 +56,17 @@ def test_embed_site_basics():
         assert np.array_equal(linalg.embed_site(I2, k, 3), np.eye(8))
     with pytest.raises(DimensionError):
         linalg.embed_site(SZ, 3, 2)
+
+
+def test_block_placement_is_the_kron_bitwise(rng):
+    op = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
+    p01 = np.kron(SWAP, np.eye(4))
+    for x, expected in [
+        (8, [np.kron(k, I2) for k in op]),
+        (1, [np.kron(I2, k) for k in op]),
+        (2, [p01 @ np.kron(I2, k) @ p01 for k in op]),  # op on factor 0 and the last two
+    ]:
+        assert np.array_equal(linalg.with_identity(op, x, 2), np.array(expected))
 
 
 def test_embedded_sites_commute():
@@ -116,3 +128,28 @@ def test_frobenius_stays_finite_at_1e300_without_a_warning():
     a = np.full((3, 3), 1e300 + 1e300j)
     assert linalg.frobenius(a) == pytest.approx(math.sqrt(18) * 1e300, rel=1e-15)
     assert math.isfinite(linalg.frobenius(a.real))
+
+
+@pytest.mark.parametrize("shape", [(5, 2, 2), (7, 8, 8), (3, 32, 32), (6, 2), (4, 16), (3, 64)])
+def test_frobenius_rows_equal_the_scalar_norm_bitwise(rng, shape):
+    a = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0 ** rng.integers(
+        -6, 6, size=(shape[0],) + (1,) * (len(shape) - 1)
+    )
+    assert linalg.frobenius_rows(a).tolist() == [linalg.frobenius(row) for row in a]
+    b = a[::-1] + 1.0
+    assert linalg.rel_residual_rows(a, linalg.frobenius_rows(b)).tolist() == [
+        linalg.rel_residual(x, linalg.frobenius(y)) for x, y in zip(a, b)
+    ]
+    if len(shape) == 3:
+        assert linalg.commutator_norm_rows(a, b).tolist() == [
+            linalg.commutator_norm(x, y) for x, y in zip(a, b)
+        ]
+
+
+def test_frobenius_rows_rescale_overflow_row_by_row():
+    a = np.ones((4, 2, 2), dtype=complex)
+    a[1] = 1e200
+    a[2, 0, 1] = np.inf
+    a[3] = 3e200j
+    assert linalg.frobenius_rows(a).tolist() == [2.0, 2e200, np.inf, 6e200]
+    assert linalg.frobenius_rows(np.zeros((0, 4, 4))).shape == (0,)

@@ -231,6 +231,38 @@ def test_engine_fails_a_check_with_a_nan_sample(params_n2):
     assert (outcome.verdict, outcome.residual) == ("pass", 1e-12)
 
 
+def test_engine_flattens_the_stacks_a_check_yields(params_n2):
+    outcome = _engine_outcome(params_n2, lambda ctx: iter((np.empty(0),)))
+    assert (outcome.verdict, outcome.residual, outcome.n_samples) == ("fail", None, 0)
+    assert outcome.reason == "no samples evaluated"
+    outcome = _engine_outcome(params_n2, lambda ctx: iter((np.zeros(2), np.array([1e-12, np.nan]))))
+    assert outcome.verdict == "fail" and np.isnan(outcome.residual) and outcome.n_samples == 4
+    outcome = _engine_outcome(params_n2, lambda ctx: iter((np.full(3, 1e-12), np.zeros(2), 0.0)))
+    assert (outcome.verdict, outcome.residual, outcome.n_samples) == ("pass", 1e-12, 6)
+
+
+def test_draw_point_takes_both_coordinates_in_one_call(params_n1):
+    # one size-2 uniform draw is the stream of two scalar draws, so every sample is unchanged
+    ctx = verify.CheckContext(params_n1, 1, np.random.default_rng(9), 1, 1e-9, SolverConfig())
+    ref = np.random.default_rng(9)
+    for _ in range(200):
+        box = verify.SAMPLE_BOX
+        assert ctx.draw_point() == complex(ref.uniform(-box, box), ref.uniform(-box, box))
+
+
+def test_default_pass_takes_its_norms_on_stacks(monkeypatch):
+    # reduced one sample at a time, the default pass took 2,304 Frobenius norms
+    calls = []
+    rows = linalg.frobenius_rows
+    monkeypatch.setattr(linalg, "frobenius_rows", lambda a: calls.append(len(a)) or rows(a))
+    cfg = config.default_config()
+    report = verify.run_suite(
+        cfg.model, checks=cfg.checks, seed=0, n_samples=cfg.n_samples, solver_cfg=cfg.solver
+    )
+    assert report.all_pass
+    assert len(calls) <= 250
+
+
 # --- golden identities ---------------------------------------------------------------------
 
 GOLDEN_IDENTITIES = ["golden.w_n1", "golden.w_n2", "golden.v_n2", "golden.v_n3"]
