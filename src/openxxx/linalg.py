@@ -39,7 +39,8 @@ def with_identity(op, x: int, m: int) -> np.ndarray:
 
     x = dim gives np.kron(op, I_m) and x = 1 gives np.kron(I_m, op).  Each op is
     copied into its blocks, never multiplied by the identity's entries, so a
-    finite op gives the kron bit for bit.
+    finite op gives the kron's entries up to the sign of zero (the kron's
+    products by zero can read -0.0, a placed zero reads +0.0).
     """
     out = np.zeros((len(op),) + (x, m, op.shape[-1] // x) * 2, dtype=complex)
     idx = np.arange(m)

@@ -182,8 +182,8 @@ def pseudo_vacuum(n_sites: int) -> np.ndarray:
 
 
 def r_matrix(u) -> np.ndarray:
-    """Rational R-matrix u + P on C^2 x C^2."""
-    return complex(u) * np.eye(4, dtype=complex) + PERMUTATION
+    """Rational R-matrix u + P on C^2 x C^2, at one point or at each point of an array."""
+    return np.asarray(u, dtype=complex)[..., None, None] * np.eye(4, dtype=complex) + PERMUTATION
 
 
 def k_minus_matrix(u, params: ModelParams) -> np.ndarray:

@@ -117,17 +117,12 @@ def _draw_pairs(ctx: CheckContext) -> list[tuple[complex, complex]]:
     return [(ctx.draw_point(), ctx.draw_point()) for _ in range(ctx.n_samples)]
 
 
-def _r_rows(u) -> np.ndarray:
-    """``model.r_matrix`` at each point of ``u``, stacked."""
-    return np.asarray(u)[:, None, None] * np.eye(4, dtype=complex) + model.PERMUTATION
-
-
 @_check("foundations.yang_baxter", sites=(1,), tol=1e-12)
 def _yang_baxter(ctx: CheckContext) -> Iterator[np.ndarray]:
     u, v = np.array(_draw_pairs(ctx)).T
-    r12 = linalg.with_identity(_r_rows(u - v), 4, 2)
-    r13 = linalg.with_identity(_r_rows(u), 2, 2)
-    r23 = linalg.with_identity(_r_rows(v), 1, 2)
+    r12 = linalg.with_identity(model.r_matrix(u - v), 4, 2)
+    r13 = linalg.with_identity(model.r_matrix(u), 2, 2)
+    r23 = linalg.with_identity(model.r_matrix(v), 1, 2)
     lhs = r12 @ r13 @ r23
     rhs = r23 @ r13 @ r12
     yield linalg.rel_residual_rows(lhs - rhs, linalg.frobenius_rows(lhs))
@@ -145,7 +140,7 @@ def _gl2_invariance(ctx: CheckContext) -> Iterator[np.ndarray]:
         us.append(ctx.draw_point())
     q = np.array(qs)
     qq = (q[:, :, None, :, None] * q[:, None, :, None, :]).reshape(-1, 4, 4)  # np.kron(q, q)
-    yield linalg.commutator_norm_rows(_r_rows(np.array(us)), qq)
+    yield linalg.commutator_norm_rows(model.r_matrix(np.array(us)), qq)
 
 
 def _reflection_residuals(k_u, k_v, u, v) -> np.ndarray:
@@ -154,7 +149,8 @@ def _reflection_residuals(k_u, k_v, u, v) -> np.ndarray:
     R acts on aux 1 x aux 2, K1 on aux 1 x chain and K2 on aux 2 x chain.
     """
     k1, k2 = linalg.with_identity(k_u, 2, 2), linalg.with_identity(k_v, 1, 2)
-    rm, rp = (linalg.with_identity(_r_rows(w), 4, k_u.shape[-1] // 2) for w in (u - v, u + v))
+    m = k_u.shape[-1] // 2
+    rm, rp = (linalg.with_identity(model.r_matrix(w), 4, m) for w in (u - v, u + v))
     lhs = rm @ k1 @ rp @ k2
     rhs = k2 @ rp @ k1 @ rm
     return linalg.rel_residual_rows(lhs - rhs, linalg.frobenius_rows(lhs))

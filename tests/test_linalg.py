@@ -58,7 +58,8 @@ def test_embed_site_basics():
         linalg.embed_site(SZ, 3, 2)
 
 
-def test_block_placement_is_the_kron_bitwise(rng):
+def test_block_placement_equals_the_kron_up_to_the_sign_of_zero(rng):
+    # array_equal on finite entries is bitwise equality except that -0.0 == +0.0
     op = rng.standard_normal((3, 8, 8)) + 1j * rng.standard_normal((3, 8, 8))
     p01 = np.kron(SWAP, np.eye(4))
     for x, expected in [

@@ -306,6 +306,7 @@ def test_hamiltonian_rejects_zero_strengths():
 
 
 BATCH_BUILDERS = {
+    "r_matrix": lambda u, p: model.r_matrix(u),
     "open_k_matrix": model.open_k_matrix,
     "transfer_matrix": model.transfer_matrix,
     "transfer_matrix_from_entries": model.transfer_matrix_from_entries,
